@@ -148,7 +148,7 @@ func BenchmarkDataflowChain(b *testing.B) {
 	rt := op2.MustNew(op2.WithBackend(op2.Dataflow), op2.WithPoolSize(runtime.NumCPU()))
 	defer rt.Close()
 	lp := rt.ParLoop("touch", cells, op2.DirectArg(d, op2.RW)).
-		Body(func(lo, hi int, _ []float64) {})
+		Body(rangeOnly(func(lo, hi int, _ []float64) {}))
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -389,11 +389,11 @@ func BenchmarkHotPath(b *testing.B) {
 			lp := rt.ParLoop("saxpy", cells,
 				op2.DirectArg(x, op2.Read),
 				op2.DirectArg(y, op2.RW),
-			).Body(func(lo, hi int, _ []float64) {
+			).Body(rangeOnly(func(lo, hi int, _ []float64) {
 				for i := lo; i < hi; i++ {
 					yd[i] += 2 * xd[i]
 				}
-			})
+			}))
 			ctx := context.Background()
 			if err := lp.Run(ctx); err != nil { // compile + warm pools
 				b.Fatal(err)
@@ -461,11 +461,11 @@ func BenchmarkHotPathAsync(b *testing.B) {
 			lp := rt.ParLoop("saxpy", cells,
 				op2.DirectArg(x, op2.Read),
 				op2.DirectArg(y, op2.RW),
-			).Body(func(lo, hi int, _ []float64) {
+			).Body(rangeOnly(func(lo, hi int, _ []float64) {
 				for i := lo; i < hi; i++ {
 					yd[i] += 2 * xd[i]
 				}
-			})
+			}))
 			for i := 0; i < 4; i++ { // warm pools, plans, issue states
 				if err := lp.Async(ctx).Wait(); err != nil {
 					b.Fatal(err)
@@ -598,3 +598,6 @@ func BenchmarkObs(b *testing.B) {
 		})
 	}
 }
+
+// rangeOnly binds a RangeBody that captures the host arrays itself.
+func rangeOnly(f op2.RangeBody) op2.Binder { return func(op2.Bind) op2.RangeBody { return f } }

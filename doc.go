@@ -18,8 +18,8 @@
 // fuse adjacent direct loops over the same set into one pass — see
 // Step.FusedGroups and Runtime.StepStats) and the distributed engine
 // uses to coalesce read-halo exchanges across loops sharing a dat's
-// halo and to overlap a loop's increment exchange with the next loops'
-// interiors. Nothing outside internal/ should import the
+// halo and to post them as soon as their dats are final. Nothing
+// outside internal/ should import the
 // implementation packages directly.
 //
 // The steady-state issue path is compiled and allocation-free: a loop's
@@ -41,9 +41,11 @@
 // engine: sets are partitioned across n simulated localities
 // (op2.WithPartitioner selects block / RCB / greedy graph-growing, and
 // Runtime.Partition registers mesh topology like OP2's op_partition),
-// written dats become per-rank owned blocks plus import halos, and each
-// loop overlaps its halo exchange with interior computation while
-// staying bitwise-identical to the serial backend. Host writes into
+// written dats become per-rank owned-plus-halo arrays, and each rank
+// runs the loop's own range body over them — maps rewritten to local
+// indices, increments applied in place with the exec halo executed
+// redundantly — overlapping its halo exchange with interior computation
+// while staying bitwise-identical to the serial backend. Host writes into
 // Dat.Data() after the first distributed write propagate to the rank
 // shards with Dat.Rescatter; Runtime.Fence drains every submitted loop
 // and step.

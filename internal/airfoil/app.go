@@ -43,8 +43,7 @@ type appLoops struct {
 	// followed by two RK sub-iterations of adt→res→bres→update. Declaring
 	// it up front hands the runtime the cross-loop dataflow DAG, which
 	// the distributed engine uses to coalesce the q/adt halo exchanges of
-	// res_calc and bres_calc and to overlap res_calc's increment exchange
-	// with bres_calc's interior.
+	// res_calc and bres_calc into one.
 	step *op2.Step
 }
 
@@ -81,7 +80,7 @@ func (a *App) buildLoops() {
 
 	build := func(body bool) appLoops {
 		var ls appLoops
-		attach := func(lp *op2.Loop, b op2.RangeBody) *op2.Loop {
+		attach := func(lp *op2.Loop, b op2.Binder) *op2.Loop {
 			if body {
 				return lp.Body(b)
 			}
@@ -136,89 +135,87 @@ func (a *App) buildLoops() {
 
 // The specialized bodies below are what the OP2-to-Go translator emits for
 // each kernel (cmd/op2gen produces this shape): raw-slice indexing over a
-// chunk, no per-element view construction.
+// chunk, no per-element view construction. Each is a binder: it resolves
+// its arrays through the Bind once, so the same body runs over the host
+// arrays under shared memory and over rank-local arrays on every rank.
 
-func (a *App) saveSolnBody() op2.RangeBody {
-	q := a.M.Q.Data()
-	qold := a.M.Qold.Data()
-	return func(lo, hi int, _ []float64) {
-		copy(qold[lo*4:hi*4], q[lo*4:hi*4])
-	}
-}
-
-func (a *App) adtCalcBody() op2.RangeBody {
+func (a *App) saveSolnBody() op2.Binder {
 	m := a.M
-	c := &a.Const
-	x := m.X.Data()
-	q := m.Q.Data()
-	adt := m.Adt.Data()
-	pc := m.Pcell.Data()
-	return func(lo, hi int, _ []float64) {
-		for e := lo; e < hi; e++ {
-			n1 := int(pc[4*e]) * 2
-			n2 := int(pc[4*e+1]) * 2
-			n3 := int(pc[4*e+2]) * 2
-			n4 := int(pc[4*e+3]) * 2
-			c.AdtCalc(x[n1:n1+2], x[n2:n2+2], x[n3:n3+2], x[n4:n4+2],
-				q[4*e:4*e+4], adt[e:e+1])
+	return func(b op2.Bind) op2.RangeBody {
+		q, qold := b.Dat(m.Q), b.Dat(m.Qold)
+		return func(lo, hi int, _ []float64) {
+			copy(qold[lo*4:hi*4], q[lo*4:hi*4])
 		}
 	}
 }
 
-func (a *App) resCalcBody() op2.RangeBody {
+func (a *App) adtCalcBody() op2.Binder {
 	m := a.M
 	c := &a.Const
-	x := m.X.Data()
-	q := m.Q.Data()
-	adt := m.Adt.Data()
-	res := m.Res.Data()
-	pe := m.Pedge.Data()
-	pc := m.Pecell.Data()
-	return func(lo, hi int, _ []float64) {
-		for e := lo; e < hi; e++ {
-			n1 := int(pe[2*e]) * 2
-			n2 := int(pe[2*e+1]) * 2
-			c1 := int(pc[2*e])
-			c2 := int(pc[2*e+1])
-			c.ResCalc(x[n1:n1+2], x[n2:n2+2],
-				q[4*c1:4*c1+4], q[4*c2:4*c2+4],
-				adt[c1:c1+1], adt[c2:c2+1],
-				res[4*c1:4*c1+4], res[4*c2:4*c2+4])
+	return func(b op2.Bind) op2.RangeBody {
+		x, q, adt := b.Dat(m.X), b.Dat(m.Q), b.Dat(m.Adt)
+		pc := b.Map(m.Pcell)
+		return func(lo, hi int, _ []float64) {
+			for e := lo; e < hi; e++ {
+				n1 := int(pc[4*e]) * 2
+				n2 := int(pc[4*e+1]) * 2
+				n3 := int(pc[4*e+2]) * 2
+				n4 := int(pc[4*e+3]) * 2
+				c.AdtCalc(x[n1:n1+2], x[n2:n2+2], x[n3:n3+2], x[n4:n4+2],
+					q[4*e:4*e+4], adt[e:e+1])
+			}
 		}
 	}
 }
 
-func (a *App) bresCalcBody() op2.RangeBody {
+func (a *App) resCalcBody() op2.Binder {
 	m := a.M
 	c := &a.Const
-	x := m.X.Data()
-	q := m.Q.Data()
-	adt := m.Adt.Data()
-	res := m.Res.Data()
-	bound := m.Bound.Data()
-	pbe := m.Pbedge.Data()
-	pbc := m.Pbecell.Data()
-	return func(lo, hi int, _ []float64) {
-		for e := lo; e < hi; e++ {
-			n1 := int(pbe[2*e]) * 2
-			n2 := int(pbe[2*e+1]) * 2
-			c1 := int(pbc[e])
-			c.BresCalc(x[n1:n1+2], x[n2:n2+2],
-				q[4*c1:4*c1+4], adt[c1:c1+1],
-				res[4*c1:4*c1+4], bound[e:e+1])
+	return func(b op2.Bind) op2.RangeBody {
+		x, q, adt, res := b.Dat(m.X), b.Dat(m.Q), b.Dat(m.Adt), b.Dat(m.Res)
+		pe, pc := b.Map(m.Pedge), b.Map(m.Pecell)
+		return func(lo, hi int, _ []float64) {
+			for e := lo; e < hi; e++ {
+				n1 := int(pe[2*e]) * 2
+				n2 := int(pe[2*e+1]) * 2
+				c1 := int(pc[2*e])
+				c2 := int(pc[2*e+1])
+				c.ResCalc(x[n1:n1+2], x[n2:n2+2],
+					q[4*c1:4*c1+4], q[4*c2:4*c2+4],
+					adt[c1:c1+1], adt[c2:c2+1],
+					res[4*c1:4*c1+4], res[4*c2:4*c2+4])
+			}
 		}
 	}
 }
 
-func (a *App) updateBody() op2.RangeBody {
+func (a *App) bresCalcBody() op2.Binder {
 	m := a.M
-	qold := m.Qold.Data()
-	q := m.Q.Data()
-	res := m.Res.Data()
-	adt := m.Adt.Data()
-	return func(lo, hi int, scratch []float64) {
-		for e := lo; e < hi; e++ {
-			Update(qold[4*e:4*e+4], q[4*e:4*e+4], res[4*e:4*e+4], adt[e:e+1], scratch)
+	c := &a.Const
+	return func(b op2.Bind) op2.RangeBody {
+		x, q, adt, res, bound := b.Dat(m.X), b.Dat(m.Q), b.Dat(m.Adt), b.Dat(m.Res), b.Dat(m.Bound)
+		pbe, pbc := b.Map(m.Pbedge), b.Map(m.Pbecell)
+		return func(lo, hi int, _ []float64) {
+			for e := lo; e < hi; e++ {
+				n1 := int(pbe[2*e]) * 2
+				n2 := int(pbe[2*e+1]) * 2
+				c1 := int(pbc[e])
+				c.BresCalc(x[n1:n1+2], x[n2:n2+2],
+					q[4*c1:4*c1+4], adt[c1:c1+1],
+					res[4*c1:4*c1+4], bound[e:e+1])
+			}
+		}
+	}
+}
+
+func (a *App) updateBody() op2.Binder {
+	m := a.M
+	return func(b op2.Bind) op2.RangeBody {
+		qold, q, res, adt := b.Dat(m.Qold), b.Dat(m.Q), b.Dat(m.Res), b.Dat(m.Adt)
+		return func(lo, hi int, scratch []float64) {
+			for e := lo; e < hi; e++ {
+				Update(qold[4*e:4*e+4], q[4*e:4*e+4], res[4*e:4*e+4], adt[e:e+1], scratch)
+			}
 		}
 	}
 }

@@ -5,14 +5,15 @@ import (
 )
 
 // DistApp is the airfoil application on the distributed runtime: the
-// same App wiring (the five op_par_loop declarations are untouched)
-// executed through op2.WithRanks — cells partitioned across localities,
-// the flow dats sharded into owned blocks plus import halos exchanged
-// through pecell/pbecell, and the read-only mesh geometry replicated.
-// Because the distributed engine replays increment application and
-// reduction folds in the serial plan order, the results are
-// bitwise-identical to the shared-memory backends at every rank count
-// and under every partitioner.
+// same App wiring (the five op_par_loop declarations and their bodies
+// are untouched) executed through op2.WithRanks — cells partitioned
+// across localities, the flow dats held per rank as owned values plus
+// an import halo exchanged through pecell, and the read-only mesh
+// geometry replicated. Each rank runs the bodies over its local arrays;
+// because increments land in place in the serial plan order and
+// reductions fold in it too, the results are bitwise-identical to the
+// shared-memory backends at every rank count and under every
+// partitioner.
 type DistApp struct {
 	*App
 	ranks int

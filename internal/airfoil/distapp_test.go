@@ -2,9 +2,11 @@ package airfoil
 
 import (
 	"math"
+	"math/rand/v2"
 	"strconv"
 	"testing"
 
+	"op2hpx/internal/part"
 	"op2hpx/op2"
 )
 
@@ -29,15 +31,16 @@ func serialGolden(t *testing.T, nx, ny, iters int) (uint64, []uint64) {
 	return math.Float64bits(rms), q
 }
 
-// checkBitwise runs the distributed app and asserts rms and the full
-// flow field match the golden bit-for-bit.
-func checkBitwise(t *testing.T, nx, ny, iters, ranks int, p op2.Partitioner, rmsRef uint64, qRef []uint64) {
+// checkBitwise runs the distributed app on the given kernel path and
+// asserts rms and the full flow field match the golden bit-for-bit.
+func checkBitwise(t *testing.T, nx, ny, iters, ranks int, p op2.Partitioner, generic bool, rmsRef uint64, qRef []uint64) {
 	t.Helper()
 	app, err := NewDistAppPartitioned(nx, ny, ranks, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer app.Close()
+	app.UseGenericKernels = generic
 	rms, err := app.Run(iters)
 	if err != nil {
 		t.Fatal(err)
@@ -54,12 +57,32 @@ func checkBitwise(t *testing.T, nx, ny, iters, ranks int, p op2.Partitioner, rms
 	}
 }
 
+// randomPartitioner assigns every element to a uniformly random rank
+// from a fixed seed: nearly every edge is cut and consecutive elements
+// of each plan block interleave across ranks, the worst case for the
+// exec halo and for the ordering proof that lets increment loops run
+// part of their elements before the halo gate.
+type randomPartitioner struct{ seed uint64 }
+
+func (p randomPartitioner) Name() string { return "random" }
+
+func (p randomPartitioner) Partition(ranks int, topo *part.Topology) ([]int32, error) {
+	rng := rand.New(rand.NewPCG(p.seed, 0x9e3779b97f4a7c15))
+	owner := make([]int32, topo.N)
+	for e := range owner {
+		owner[e] = int32(rng.IntN(ranks))
+	}
+	return owner, nil
+}
+
 // TestDistAppBitwiseGolden asserts the distributed airfoil — issued as
-// one op2.Step per iteration, with res_calc/bres_calc's halo exchanges
-// coalesced and increment exchanges overlapping the next loop's
-// interior — reproduces the serial backend bit-for-bit at ranks 1, 2, 4
-// and 7, under every partitioner: increment application and reduction
-// folds replay the serial plan order regardless of how the mesh is
+// one op2.Step per iteration, each rank running the loop bodies over its
+// local arrays with res_calc/bres_calc's halo exchanges coalesced —
+// reproduces the serial backend bit-for-bit at ranks 1, 2, 4 and 7,
+// under block, RCB, greedy and a seeded random partition, on both
+// kernel paths (the specialized bodies, and the generic kernels under
+// "generic/"): in-place increments (exec halo included) and reduction
+// folds follow the serial plan order regardless of how the mesh is
 // split or how the step batches its communication.
 func TestDistAppBitwiseGolden(t *testing.T) {
 	const nx, ny, iters = 26, 14, 4
@@ -71,11 +94,18 @@ func TestDistAppBitwiseGolden(t *testing.T) {
 		{"block", nil},
 		{"rcb", op2.RCBPartitioner()},
 		{"greedy", op2.GreedyPartitioner()},
+		{"random", randomPartitioner{seed: 27}},
 	} {
-		for _, ranks := range []int{1, 2, 4, 7} {
-			t.Run(tc.name+"/ranks="+strconv.Itoa(ranks), func(t *testing.T) {
-				checkBitwise(t, nx, ny, iters, ranks, tc.p, rmsRef, qRef)
-			})
+		for _, generic := range []bool{false, true} {
+			path := ""
+			if generic {
+				path = "generic/"
+			}
+			for _, ranks := range []int{1, 2, 4, 7} {
+				t.Run(tc.name+"/"+path+"ranks="+strconv.Itoa(ranks), func(t *testing.T) {
+					checkBitwise(t, nx, ny, iters, ranks, tc.p, generic, rmsRef, qRef)
+				})
+			}
 		}
 	}
 }
@@ -86,7 +116,7 @@ func TestDistAppBitwiseGolden(t *testing.T) {
 func TestDistAppEmptyPartitions(t *testing.T) {
 	const nx, ny, iters = 3, 2, 3 // 6 cells across 7 ranks: at least one empty
 	rmsRef, qRef := serialGolden(t, nx, ny, iters)
-	checkBitwise(t, nx, ny, iters, 7, nil, rmsRef, qRef)
+	checkBitwise(t, nx, ny, iters, 7, nil, false, rmsRef, qRef)
 }
 
 // TestDistAppReport asserts the partition report covers the prime set
@@ -154,15 +184,14 @@ func TestDistAppReport(t *testing.T) {
 // bedges follow their one cell (fully local), and update/adt_calc
 // rewrite q/adt inside every RK sub-iteration — so each sub-iteration
 // has exactly one read exchange (q+adt coalesced per pair by the
-// per-loop schedule) and one increment exchange, which is already
-// minimal. The strictly-fewer coalescing win appears whenever several
-// loops read the same version of a dat's halo (gradient → limiter →
-// flux pipelines; asserted with a counting transport by
-// TestStepCoalescesSharedHalo and TestStepPipelineFewerMessages in
-// internal/dist); the airfoil step's distributed win is overlap —
-// res_calc's increment exchange stays in flight through bres_calc
-// (TestStepIncExchangeOverlapsNextInterior) — plus one submission and
-// one completion fence per timestep instead of nine.
+// per-loop schedule) and no increment exchange (res_calc's exec halo
+// applies every increment in place), which is already minimal. The
+// strictly-fewer coalescing win appears whenever several loops read the
+// same version of a dat's halo (gradient → limiter → flux pipelines;
+// asserted with a counting transport by TestStepCoalescesSharedHalo and
+// TestStepPipelineFewerMessages in internal/dist); the airfoil step's
+// distributed win is one submission and one completion fence per
+// timestep instead of nine.
 func TestDistAppStepMessages(t *testing.T) {
 	const nx, ny, iters = 26, 14, 3
 	rmsRef, qRef := serialGolden(t, nx, ny, iters)

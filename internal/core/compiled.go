@@ -20,7 +20,8 @@ import (
 //   - the scratchLayout of the loop's global reductions,
 //   - the classified resource list for dataflow issue (classifyResources
 //     used to rebuild a slice + map on every issue),
-//   - the generic-kernel range body with its pooled views slices,
+//   - the range body, bound once to the host arrays (the attached
+//     Body, or the generic view-building binder over Kernel),
 //   - the §V prefetcher configuration, and
 //   - a pool of loopRun states holding the slot-indexed reduction
 //     scratch table and the persistent chunk tasks of the parallel
@@ -30,8 +31,8 @@ import (
 // per-invocation state lives in pooled loopRun values, so concurrent
 // executions of the same loop (where a backend's contract allows them)
 // are safe. Kernels are read through the Loop at invocation time, so
-// re-attaching a Kernel or Body between runs is observed without
-// recompiling.
+// re-attaching a Kernel between runs is observed without recompiling; a
+// re-attached Body needs Loop.InvalidateCompiled.
 type CompiledLoop struct {
 	ex   *Executor
 	l    *Loop
@@ -40,8 +41,7 @@ type CompiledLoop struct {
 	res  []stepRes // distinct resources, strongest access (dataflow issue)
 	pf   *loopPrefetcher
 
-	genericBody RangeBody // view-building wrapper around l.Kernel
-	viewsPool   sync.Pool // *[][]float64, len(l.Args)
+	body RangeBody // l.Binder() bound to the host arrays
 
 	runs   sync.Pool // *loopRun
 	issues sync.Pool // *issueState: pooled async-issue states (see issue.go)
@@ -73,8 +73,8 @@ func (ex *Executor) compiled(l *Loop) (*CompiledLoop, error) {
 }
 
 // compileLoop builds the compiled artifact: resolve the plan, lay out
-// the reduction scratch, classify the resources, wrap the generic
-// kernel, and configure the prefetcher.
+// the reduction scratch, classify the resources, bind the body, and
+// configure the prefetcher.
 func (ex *Executor) compileLoop(l *Loop) (*CompiledLoop, error) {
 	cl := &CompiledLoop{
 		ex:  ex,
@@ -90,70 +90,17 @@ func (ex *Executor) compileLoop(l *Loop) (*CompiledLoop, error) {
 		}
 		cl.plan = plan
 	}
-	nargs := len(l.Args)
-	cl.viewsPool.New = func() any {
-		v := make([][]float64, nargs)
-		return &v
-	}
-	cl.genericBody = cl.makeGenericBody()
+	cl.body = l.Binder()(hostBind{})
 	cl.runs.New = func() any { return newLoopRun(cl) }
 	return cl, nil
 }
 
-// makeGenericBody builds the view-based range body once. The kernel is
-// read from the Loop per invocation of the body, so re-attached kernels
-// are observed; the views slice is pooled per chunk call instead of
-// allocated (the allocation bodyFunc used to pay on every range).
-func (cl *CompiledLoop) makeGenericBody() RangeBody {
-	l := cl.l
-	args := l.Args
-	sl := &cl.sl
-	return func(lo, hi int, scratch []float64) {
-		kernel := l.Kernel
-		vp := cl.viewsPool.Get().(*[][]float64)
-		views := *vp
-		// Invariant views (globals) are set once per range.
-		for i := range args {
-			a := &args[i]
-			if !a.IsGlobal() {
-				continue
-			}
-			if off := sl.offs[i]; off >= 0 {
-				views[i] = scratch[off : off+a.gbl.Dim()]
-			} else {
-				views[i] = a.gbl.data
-			}
-		}
-		for e := lo; e < hi; e++ {
-			for i := range args {
-				a := &args[i]
-				if a.IsGlobal() {
-					continue
-				}
-				d := a.dat
-				var j int
-				if a.m == nil {
-					j = e
-				} else {
-					j = int(a.m.data[e*a.m.dim+a.idx])
-				}
-				views[i] = d.data[j*d.dim : (j+1)*d.dim : (j+1)*d.dim]
-			}
-			kernel(views)
-		}
-		cl.viewsPool.Put(vp)
-	}
-}
+// hostBind is the shared-memory Bind: every loop indexes the
+// declarations' own arrays.
+type hostBind struct{}
 
-// bodyNow resolves the range body for this invocation: the specialized
-// Body when attached (read through the Loop, so re-attachment between
-// runs is observed), the compiled generic wrapper otherwise.
-func (cl *CompiledLoop) bodyNow() RangeBody {
-	if b := cl.l.Body; b != nil {
-		return b
-	}
-	return cl.genericBody
-}
+func (hostBind) Dat(d *Dat) []float64 { return d.data }
+func (hostBind) Map(m *Map) []int32   { return m.data }
 
 // gatherDepsReuse is gatherDeps into the compiled loop's reusable
 // buffers — zero allocations once the buffers have grown to the loop's
@@ -168,7 +115,6 @@ func (cl *CompiledLoop) getRun(ctx context.Context) *loopRun {
 	lr := cl.runs.Get().(*loopRun)
 	lr.ctx = ctx
 	lr.region.ctx = ctx
-	lr.body = cl.bodyNow()
 	lr.nslots = 0
 	lr.cursor = 0
 	return lr
@@ -178,7 +124,6 @@ func (cl *CompiledLoop) getRun(ctx context.Context) *loopRun {
 func (cl *CompiledLoop) putRun(lr *loopRun) {
 	lr.ctx = nil
 	lr.region.ctx = nil
-	lr.body = nil
 	lr.blocks = nil
 	cl.runs.Put(lr)
 }
@@ -257,9 +202,8 @@ func (r *chunkRegion) dispatch(pool *sched.Pool, nchunks int) error {
 // CompiledLoop's pool, which is what makes the steady-state issue path
 // allocation-free.
 type loopRun struct {
-	cl   *CompiledLoop
-	ctx  context.Context
-	body RangeBody
+	cl  *CompiledLoop
+	ctx context.Context
 
 	// Reduction scratch table: slot s occupies red[s*size:(s+1)*size].
 	// Slots are indexed by chunk (plan block id for planned loops, chunk
@@ -336,9 +280,9 @@ func (lr *loopRun) scratchFor(s int) []float64 {
 func (lr *loopRun) runRange(slot, lo, hi int) {
 	s := lr.scratchFor(slot)
 	if pf := lr.cl.pf; pf != nil {
-		pf.run(lo, hi, s, lr.body)
+		pf.run(lo, hi, s, lr.cl.body)
 	} else {
-		lr.body(lo, hi, s)
+		lr.cl.body(lo, hi, s)
 	}
 }
 

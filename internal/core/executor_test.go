@@ -280,16 +280,16 @@ func TestDataflowIndependentLoopsInterleave(t *testing.T) {
 	slow := &Loop{
 		Name: "slow", Set: cells,
 		Args: []Arg{ArgDat(a, IDIdx, nil, RW)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
 			if lo == 0 {
 				<-gate
 			}
-		},
+		}),
 	}
 	fast := &Loop{
 		Name: "fast", Set: cells,
 		Args: []Arg{ArgDat(b, IDIdx, nil, RW)},
-		Body: func(lo, hi int, _ []float64) { bDone.Store(true) },
+		Body: rangeOnly(func(lo, hi int, _ []float64) { bDone.Store(true) }),
 	}
 	fSlow := ex.RunAsync(slow)
 	fFast := ex.RunAsync(fast)
@@ -319,15 +319,15 @@ func TestDataflowWriteAfterReadOrdered(t *testing.T) {
 	reader := &Loop{
 		Name: "reader", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Read), ArgDat(sink, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
 			<-gate
 			observed.Store(d.Data()[0])
-		},
+		}),
 	}
 	writer := &Loop{
 		Name: "writer", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) { d.Data()[0] = 99 },
+		Body: rangeOnly(func(lo, hi int, _ []float64) { d.Data()[0] = 99 }),
 	}
 	ex.RunAsync(reader)
 	fw := ex.RunAsync(writer)
@@ -360,12 +360,12 @@ func TestDataflowReadersRunConcurrently(t *testing.T) {
 		return &Loop{
 			Name: "r", Set: cells,
 			Args: []Arg{ArgDat(d, IDIdx, nil, Read), ArgDat(out, IDIdx, nil, Write)},
-			Body: func(lo, hi int, _ []float64) {
+			Body: rangeOnly(func(lo, hi int, _ []float64) {
 				if lo == 0 {
 					barrier <- struct{}{}
 					<-both // both readers must be inside simultaneously
 				}
-			},
+			}),
 		}
 	}
 	f1 := ex.RunAsync(mk(o1))
@@ -390,12 +390,12 @@ func TestDataflowErrorPropagatesToDependents(t *testing.T) {
 	bad := &Loop{
 		Name: "bad", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) { panic("kernel bug") },
+		Body: rangeOnly(func(lo, hi int, _ []float64) { panic("kernel bug") }),
 	}
 	good := &Loop{
 		Name: "good", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Read)},
-		Body: func(lo, hi int, _ []float64) {},
+		Body: rangeOnly(func(lo, hi int, _ []float64) {}),
 	}
 	ex.RunAsync(bad)
 	f := ex.RunAsync(good)
@@ -482,11 +482,11 @@ func TestDatSyncAndFuture(t *testing.T) {
 	l := &Loop{
 		Name: "w", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
 			for i := lo; i < hi; i++ {
 				d.Data()[i] = 3
 			}
-		},
+		}),
 	}
 	ex.RunAsync(l)
 	fut := d.Future()
@@ -507,3 +507,6 @@ func TestBackendStrings(t *testing.T) {
 		t.Fatal("backend names changed")
 	}
 }
+
+// rangeOnly binds a RangeBody that captures its arrays itself.
+func rangeOnly(f RangeBody) Binder { return func(Bind) RangeBody { return f } }

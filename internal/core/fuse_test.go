@@ -54,17 +54,17 @@ func newFuseFixture(t *testing.T, ncells int) *fuseFixture {
 
 	f.save = &Loop{Name: "save", Set: f.cells,
 		Args: []Arg{ArgDat(f.q, IDIdx, nil, Read), ArgDat(f.qold, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
 			copy(f.qold.Data()[lo:hi], f.q.Data()[lo:hi])
-		}}
+		})}
 	f.adtc = &Loop{Name: "adt", Set: f.cells,
 		Args: []Arg{ArgDat(f.x, 0, f.pc, Read), ArgDat(f.q, IDIdx, nil, Read), ArgDat(f.adt, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
 			xd, qd, ad := f.x.Data(), f.q.Data(), f.adt.Data()
 			for e := lo; e < hi; e++ {
 				ad[e] = qd[e]*0.5 + xd[2*int(f.pc.At(e, 0))]
 			}
-		}}
+		})}
 	f.resc = &Loop{Name: "res", Set: f.edges,
 		Args: []Arg{ArgDat(f.q, 0, f.pe, Read), ArgDat(f.res, 0, f.pe, Inc), ArgDat(f.res, 1, f.pe, Inc)},
 		Kernel: func(v [][]float64) {
@@ -75,7 +75,7 @@ func newFuseFixture(t *testing.T, ncells int) *fuseFixture {
 	f.upd = &Loop{Name: "upd", Set: f.cells,
 		Args: []Arg{ArgDat(f.qold, IDIdx, nil, Read), ArgDat(f.q, IDIdx, nil, Write),
 			ArgDat(f.res, IDIdx, nil, RW), ArgDat(f.adt, IDIdx, nil, Read), ArgGbl(f.rms, Inc)},
-		Body: func(lo, hi int, scratch []float64) {
+		Body: rangeOnly(func(lo, hi int, scratch []float64) {
 			qd, qo, rd, ad := f.q.Data(), f.qold.Data(), f.res.Data(), f.adt.Data()
 			for e := lo; e < hi; e++ {
 				del := rd[e] * 0.1 / (ad[e] + 2)
@@ -83,7 +83,7 @@ func newFuseFixture(t *testing.T, ncells int) *fuseFixture {
 				rd[e] = 0
 				scratch[0] += del * del
 			}
-		}}
+		})}
 	return f
 }
 
@@ -137,10 +137,10 @@ func TestFusionBlockedByIndirectDependency(t *testing.T) {
 	o := MustDeclDat(cells, 1, nil, "o")
 	w := &Loop{Name: "w", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {}}
+		Body: rangeOnly(func(lo, hi int, _ []float64) {})}
 	r := &Loop{Name: "r", Set: cells,
 		Args: []Arg{ArgDat(d, 0, shift, Read), ArgDat(o, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {}}
+		Body: rangeOnly(func(lo, hi int, _ []float64) {})}
 	sp, err := BuildStepPlan("s", []*Loop{w, r})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestFusionBlockedByIndirectDependency(t *testing.T) {
 	// shapes fuse.
 	rFree := &Loop{Name: "rfree", Set: cells,
 		Args: []Arg{ArgDat(o, 0, shift, Read), ArgDat(d, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {}}
+		Body: rangeOnly(func(lo, hi int, _ []float64) {})}
 	sp2, err := BuildStepPlan("s2", []*Loop{w, rFree})
 	if err != nil {
 		t.Fatal(err)

@@ -21,18 +21,18 @@ func TestPipelinedFusedStepStress(t *testing.T) {
 	ex := NewExecutor(Config{Backend: Dataflow, Chunker: hpx.StaticChunker(1 << 20)})
 	w := &Loop{Name: "w", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, Write)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
 			for i := lo; i < hi; i++ {
 				d.data[i] = 1
 			}
-		}}
+		})}
 	r := &Loop{Name: "r", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, RW)},
-		Body: func(lo, hi int, _ []float64) {
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
 			for i := lo; i < hi; i++ {
 				d.data[i] += 1
 			}
-		}}
+		})}
 	sp, err := BuildStepPlan("s", []*Loop{w, r})
 	if err != nil {
 		t.Fatal(err)

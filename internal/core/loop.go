@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -20,29 +21,129 @@ type Kernel func(views [][]float64)
 // data exactly as the loop's Args declare.
 type RangeBody func(lo, hi int, scratch []float64)
 
+// Bind resolves a loop's dats and maps to the arrays one execution
+// context indexes. Under shared memory these are the declarations' own
+// arrays; on a distributed rank they are rank-local: a dat's owned and
+// halo values in one contiguous array, and a map's rows rewritten to
+// rank-local indices, so element e of the range and the indices a map
+// yields address the same arrays the way the global ones do.
+type Bind interface {
+	Dat(d *Dat) []float64
+	Map(m *Map) []int32
+}
+
+// Binder builds a loop's RangeBody over the arrays a Bind resolves. It
+// is called once per execution context — once per compiled loop under
+// shared memory, once per (loop, rank) on a distributed runtime — so it
+// should resolve every array it needs up front and capture the slices.
+type Binder func(b Bind) RangeBody
+
 // Loop describes one op_par_loop: a name, the iteration set, the argument
-// list with access descriptors, and the kernel. Exactly one of Kernel or
+// list with access descriptors, and the kernel. At least one of Kernel or
 // Body must be set; Body takes precedence.
 type Loop struct {
 	Name   string
 	Set    *Set
 	Args   []Arg
 	Kernel Kernel
-	Body   RangeBody
+	Body   Binder
 
 	// compiled caches the loop's steady-state execution artifact, built
 	// by the first executor that runs the loop (see CompiledLoop). The
-	// kernel and body are read per invocation, so re-attaching either
-	// does not require invalidation; changing Set or Args after the
-	// first execution does (call InvalidateCompiled).
+	// kernel is read per invocation, so re-attaching it needs no
+	// invalidation; the Body is bound at compile time, so re-attaching
+	// it, or changing Set or Args after the first execution, does (call
+	// InvalidateCompiled).
 	compiled atomic.Pointer[CompiledLoop]
+	gen      atomic.Uint64
 }
 
 // InvalidateCompiled drops the loop's cached compiled artifact so the
-// next execution recompiles it. Needed only when the loop's Set or Args
-// are mutated after the first run — attached kernels and bodies are
-// always read fresh.
-func (l *Loop) InvalidateCompiled() { l.compiled.Store(nil) }
+// next execution recompiles (and rebinds) it, and bumps the loop's
+// generation so bodies bound elsewhere are rebound too.
+func (l *Loop) InvalidateCompiled() {
+	l.compiled.Store(nil)
+	l.gen.Add(1)
+}
+
+// Generation counts InvalidateCompiled calls: a cache of bodies bound
+// from this loop is current while the generation it recorded still
+// matches.
+func (l *Loop) Generation() uint64 { return l.gen.Load() }
+
+// Binder returns the loop's body binder: the attached Body, or the
+// generic view-building binder over Kernel.
+func (l *Loop) Binder() Binder {
+	if l.Body != nil {
+		return l.Body
+	}
+	return l.kernelBinder
+}
+
+// kernelBinder is the generic-kernel Binder: the bound body builds one
+// slice view per argument and element and calls the kernel, read from
+// the Loop per range so a re-attached kernel is observed. Views come
+// from a pool local to the bound body, because shared-memory chunks of
+// one body run concurrently.
+func (l *Loop) kernelBinder(b Bind) RangeBody {
+	type argView struct {
+		data []float64
+		m    []int32 // nil for direct args and globals
+		mdim int
+		idx  int
+		dim  int
+		gbl  bool
+		off  int // reduction scratch offset; -1 for everything else
+	}
+	sl := layoutScratch(l.Args)
+	av := make([]argView, len(l.Args))
+	for i, a := range l.Args {
+		v := argView{off: sl.offs[i], gbl: a.IsGlobal()}
+		if v.gbl {
+			v.data, v.dim = a.gbl.data, a.gbl.Dim()
+		} else {
+			v.data, v.dim = b.Dat(a.dat), a.dat.dim
+			if a.m != nil {
+				v.m, v.mdim, v.idx = b.Map(a.m), a.m.dim, a.idx
+			}
+		}
+		av[i] = v
+	}
+	pool := &sync.Pool{New: func() any {
+		views := make([][]float64, len(av))
+		return &views
+	}}
+	return func(lo, hi int, scratch []float64) {
+		kernel := l.Kernel
+		vp := pool.Get().(*[][]float64)
+		views := *vp
+		// Global views are invariant over the range.
+		for i := range av {
+			if v := &av[i]; v.gbl {
+				if v.off >= 0 {
+					views[i] = scratch[v.off : v.off+v.dim]
+				} else {
+					views[i] = v.data
+				}
+			}
+		}
+		for e := lo; e < hi; e++ {
+			for i := range av {
+				v := &av[i]
+				if v.gbl {
+					continue
+				}
+				j := e
+				if v.m != nil {
+					j = int(v.m[e*v.mdim+v.idx])
+				}
+				views[i] = v.data[j*v.dim : (j+1)*v.dim : (j+1)*v.dim]
+			}
+			kernel(views)
+		}
+		pool.Put(vp)
+	}
+}
 
 // Validate checks the loop's arguments against its iteration set.
 func (l *Loop) Validate() error {

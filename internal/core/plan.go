@@ -50,8 +50,7 @@ func (p *Plan) BlocksOfColor(c int) []int { return p.byColor[c] }
 // applies indirect increments in, and therefore the order a distributed
 // backend must replay to stay bitwise-identical.
 //
-// The order is materialized once and cached on the (immutable) plan —
-// PartitionOrder used to rebuild this n-int slice on every call — so
+// The order is materialized once and cached on the (immutable) plan, so
 // the returned slice is shared: callers must not modify it.
 func (p *Plan) ElementOrder() []int {
 	p.orderOnce.Do(func() {
@@ -67,42 +66,6 @@ func (p *Plan) ElementOrder() []int {
 		p.order = order
 	})
 	return p.order
-}
-
-// PlanPartition is partition-aware plan metadata: the plan's serial
-// element order split across ranks into an interior and a boundary phase.
-// Within each per-rank list the serial order is preserved, so a rank that
-// executes Interior[r] then Boundary[r] visits its elements in exactly
-// the relative order the serial backend would.
-type PlanPartition struct {
-	// Order is the full serial execution order (ElementOrder).
-	Order []int
-	// Interior[r] are rank r's elements whose every dependency is local:
-	// they can execute while halo messages are still in flight.
-	Interior [][]int
-	// Boundary[r] are rank r's elements that touch imported (halo) data:
-	// they must wait for the read-halo exchange to resolve.
-	Boundary [][]int
-}
-
-// PartitionOrder splits the plan's serial element order across ranks:
-// home(e) names the rank executing element e, and interior(e) reports
-// whether e touches only that rank's own data.
-func (p *Plan) PartitionOrder(ranks int, home func(e int) int, interior func(e int) bool) *PlanPartition {
-	pp := &PlanPartition{
-		Order:    p.ElementOrder(),
-		Interior: make([][]int, ranks),
-		Boundary: make([][]int, ranks),
-	}
-	for _, e := range pp.Order {
-		r := home(e)
-		if interior(e) {
-			pp.Interior[r] = append(pp.Interior[r], e)
-		} else {
-			pp.Boundary[r] = append(pp.Boundary[r], e)
-		}
-	}
-	return pp
 }
 
 // LoopPlan builds (uncached) the execution plan the backends use for l at

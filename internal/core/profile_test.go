@@ -99,7 +99,7 @@ func TestProfilerDataflowConcurrentRecording(t *testing.T) {
 	l := &Loop{
 		Name: "touch", Set: cells,
 		Args: []Arg{ArgDat(d, IDIdx, nil, RW)},
-		Body: func(lo, hi int, _ []float64) {},
+		Body: rangeOnly(func(lo, hi int, _ []float64) {}),
 	}
 	const iters = 50
 	for i := 0; i < iters; i++ {

@@ -15,11 +15,12 @@ import (
 // graph once — which is what lets the shared-memory dataflow backend
 // interleave independent loops eagerly with no per-issue argument
 // walking, and what the distributed engine consumes to batch halo
-// exchanges and overlap increment exchanges across loop boundaries.
+// exchanges and post them early across loop boundaries.
 //
 // A StepPlan is immutable once built and may be executed any number of
 // times; the kernels travel with the loops, so re-attaching a Kernel to
-// a member loop between runs is observed.
+// a member loop between runs is observed (a re-attached Body needs
+// Loop.InvalidateCompiled, which op2.Loop.Body calls).
 type StepPlan struct {
 	Name  string
 	Loops []*Loop

@@ -28,8 +28,7 @@ type RecvFuture interface {
 // contract is per-pair FIFO: messages from src to dst are received in the
 // order they were sent. Recv returns a future so receivers can overlap
 // computation with delivery — the engine posts its receives, executes
-// interior work, and only gates boundary work and increment application
-// on the futures (§III-A/§IV of the paper, applied to communication).
+// interior work, and only gates boundary work on the futures (§III-A/§IV of the paper, applied to communication).
 //
 // Implementations must never block in Send: a sender that has run far
 // ahead of a receiver must be buffered, and a transport that cannot
@@ -49,7 +48,7 @@ type Transport interface {
 
 // defaultCommDepth bounds the in-flight messages per rank pair. With the
 // Step API a single mailbox slot can carry a whole timestep of loops
-// (each posting a read-halo and an increment message per pair), so the
+// (each posting a read-halo message per pair), so the
 // bound is no longer a small static function of the mailbox depth; it is
 // a sanity backstop against a submitter that never fences, far above
 // anything a pipelined application legitimately reaches.

@@ -4,42 +4,51 @@
 // architecture of OP2's MPI backend re-expressed with the paper's
 // futures-based latency hiding.
 //
-// # Owned + halo storage
+// # Rank-local storage
 //
 // Every set a loop touches is partitioned across the ranks: either for
 // real, by a part.Partitioner over registered mesh topology, or derived
 // through a map (an edge executes on the rank owning its first cell).
-// Every dat some loop writes is sharded: rank r holds the values of its
-// owned elements plus an import halo sized from the maps that reference
-// off-rank elements, with matching precomputed export lists on the
-// owning side. Dats that are only ever read stay replicated. The
-// declaration's global array becomes stale while shards are live;
-// Dat.Sync flushes the owned blocks back. The flush is
-// one-directional: host writes into the global array after a dat's
-// first distributed write are not observed by later loops.
+// Each rank numbers a set locally — its owned elements first, in
+// ascending global id, then halo slots in the order they were first
+// needed — and every dat some loop writes is sharded into one array per
+// rank in that numbering, owned values followed by the halo. Maps are
+// rewritten per loop and rank to local indices, so a loop's own
+// RangeBody runs unchanged over rank-local arrays: each rank binds the
+// body (core.Binder) to its arrays once, and the generic-kernel path is
+// a binder too. Dats that are only ever read stay replicated (a local
+// copy per rank on partitioned sets, refreshed every step that reads
+// it). The declaration's global array of a sharded dat is stale while
+// shards are live; Dat.Sync flushes the owned blocks back.
+//
+// # Increments in place
+//
+// A loop that increments through a map also executes its exec halo on
+// every rank: the elements another rank owns that increment a target
+// this rank owns. Every owned target therefore receives all of its
+// contributions locally, so no increment crosses the wire;
+// contributions to halo targets, and the exec halo's global
+// reductions, are discarded.
 //
 // # Compute/communication overlap
 //
-// Per loop, each rank's elements are classified against the partition:
-// interior elements read only rank-local data, boundary elements touch
-// the halo. A rank posts its read-halo exchange as hpx futures, executes
-// the interior while messages are in flight, and gates only the boundary
-// elements and the increment application on halo resolution — the
-// paper's thesis (hide latency by letting the runtime schedule around
-// futures) applied to distribution. Ranks are persistent workers (one
-// long-lived goroutine plus mailbox each, no fork/join per loop), so a
-// rank done with loop N pipelines straight into loop N+1.
+// Per loop, each rank posts its read-halo exchange as hpx futures,
+// executes the elements that read no halo value while the messages are
+// in flight, and gates only the rest on halo resolution — the paper's
+// thesis (hide latency by letting the runtime schedule around futures)
+// applied to distribution. Ranks are persistent workers (one long-lived
+// goroutine plus mailbox each, no fork/join per loop), so a rank done
+// with loop N pipelines straight into loop N+1.
 //
 // # Bitwise reproducibility
 //
-// Indirect increments are never applied during kernel execution: every
-// contribution is buffered per (element, argument), foreign ones travel
-// to the owner, and the owner folds local and imported contributions in
-// the serial colored-plan order. Global Inc reductions fold per-element
-// contributions in the same serial order (Min/Max combine per-rank
-// partials up a binary tree — they are associative, so the tree cannot
-// change the result). The distributed airfoil is therefore
-// bitwise-identical to the serial backend at every rank count and under
-// every partitioner, for kernels that accumulate each target component
-// once per element — which is what OP2 kernels do.
+// A rank executes its elements in the serial colored-plan order, so
+// each owned target takes its increments in that order. The split
+// around the halo gate keeps it: an increment loop runs an element
+// after the gate as soon as one of its owned targets has a contributor
+// there. Global Inc reductions fold per-element contributions in the
+// same serial order (Min/Max combine per-rank partials up a binary tree
+// — they are associative, so the tree cannot change the result). The
+// distributed airfoil is therefore bitwise-identical to the serial
+// backend at every rank count and under every partitioner.
 package dist

@@ -224,11 +224,94 @@ func (f *gatedFuture) Get() ([]float64, error) {
 
 func (f *gatedFuture) Release() { f.inner.Release() }
 
+// TestBodyOnlyLoopsRunDistributed runs loops that carry only a
+// specialized Body — no generic Kernel — on the engine: each rank binds
+// the body to its local arrays (localized maps included), and the result
+// matches the serial executor bitwise.
+func TestBodyOnlyLoopsRunDistributed(t *testing.T) {
+	const n, steps = 50, 3
+	bodies := func(r *ring) []*core.Loop {
+		flux := &core.Loop{Name: "flux", Set: r.edges, Args: r.flux.Args,
+			Body: func(b core.Bind) core.RangeBody {
+				x, res, pc := b.Dat(r.x), b.Dat(r.res), b.Map(r.pecell)
+				return func(lo, hi int, _ []float64) {
+					for e := lo; e < hi; e++ {
+						c1, c2 := pc[2*e], pc[2*e+1]
+						f := x[c1] - x[c2]
+						res[c1] += f
+						res[c2] -= f
+					}
+				}
+			}}
+		scale := &core.Loop{Name: "scale", Set: r.cells, Args: r.scale.Args,
+			Body: func(b core.Bind) core.RangeBody {
+				x, res := b.Dat(r.x), b.Dat(r.res)
+				return func(lo, hi int, _ []float64) {
+					for c := lo; c < hi; c++ {
+						x[c] = x[c]*1.5 + res[c]
+					}
+				}
+			}}
+		total := &core.Loop{Name: "total", Set: r.cells, Args: r.total.Args,
+			Body: func(b core.Bind) core.RangeBody {
+				x := b.Dat(r.x)
+				return func(lo, hi int, sum []float64) {
+					for c := lo; c < hi; c++ {
+						sum[0] += x[c]
+					}
+				}
+			}}
+		return []*core.Loop{flux, scale, total}
+	}
+	run := func(r *ring, exec func(*core.Loop) error) ([]uint64, uint64) {
+		for s := 0; s < steps; s++ {
+			for _, l := range bodies(r) {
+				if err := exec(l); err != nil {
+					t.Fatalf("step %d loop %s: %v", s, l.Name, err)
+				}
+			}
+		}
+		for _, d := range []*core.Dat{r.x, r.res} {
+			if err := d.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var bits []uint64
+		for _, d := range []*core.Dat{r.x, r.res} {
+			for _, v := range d.Data() {
+				bits = append(bits, math.Float64bits(v))
+			}
+		}
+		return bits, math.Float64bits(r.sum.Data()[0])
+	}
+	ref := newRing(t, n)
+	ex := core.NewExecutor(core.Config{Backend: core.Serial, BlockSize: 8})
+	want, wantSum := run(ref, ex.Run)
+	for _, ranks := range []int{1, 2, 3, 7} {
+		r := newRing(t, n)
+		e, err := dist.NewEngine(dist.Config{Ranks: ranks, BlockSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotSum := run(r, func(l *core.Loop) error { return e.Run(context.Background(), l) })
+		e.Close()
+		if gotSum != wantSum {
+			t.Errorf("ranks=%d: sum bits %#x, serial %#x", ranks, gotSum, wantSum)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("ranks=%d: value %d differs bitwise from serial", ranks, i)
+			}
+		}
+	}
+}
+
 // TestOverlapInteriorRunsBeforeHaloResolution is the overlap proof: the
 // transport refuses to deliver any message until every rank has executed
-// at least one interior chunk, so the loop can only complete if interior
+// at least one interior run, so the loop can only complete if interior
 // computation genuinely proceeds while the halo exchange is in flight —
-// and boundary work plus increment application are gated on resolution.
+// and boundary work is gated on resolution. An identity RW loop shards
+// x first (sending nothing), so flux imports x's halo.
 func TestOverlapInteriorRunsBeforeHaloResolution(t *testing.T) {
 	const n, ranks = 64, 2
 	xRef, resRef := serialFlux(t, n)
@@ -242,6 +325,9 @@ func TestOverlapInteriorRunsBeforeHaloResolution(t *testing.T) {
 	trace := func(loop string, rank int, phase string) {
 		mu.Lock()
 		defer mu.Unlock()
+		if loop != "flux" {
+			return
+		}
 		switch phase {
 		case "interior":
 			interiorSeen[rank] = true
@@ -249,7 +335,7 @@ func TestOverlapInteriorRunsBeforeHaloResolution(t *testing.T) {
 				opened = true
 				close(gate)
 			}
-		case "boundary", "apply":
+		case "boundary":
 			if !opened {
 				boundaryEarly = true
 			}
@@ -266,18 +352,28 @@ func TestOverlapInteriorRunsBeforeHaloResolution(t *testing.T) {
 	}
 	defer e.Close()
 
+	shardX := &core.Loop{
+		Name: "shardX", Set: r.cells,
+		Args:   []core.Arg{core.ArgDat(r.x, core.IDIdx, nil, core.RW)},
+		Kernel: func(v [][]float64) { v[0][0] *= 1 },
+	}
 	done := make(chan error, 1)
-	go func() { done <- e.Run(context.Background(), r.flux) }()
+	go func() {
+		done <- e.RunStep(context.Background(), "shard-then-flux", []*core.Loop{shardX, r.flux})
+	}()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: engine waited for halo messages before executing interior chunks")
+		t.Fatal("deadlock: engine waited for halo messages before executing interior runs")
 	}
 	if boundaryEarly {
-		t.Fatal("boundary or apply phase ran before halo messages were deliverable")
+		t.Fatal("boundary phase ran before halo messages were deliverable")
+	}
+	if e.MessagesSent() == 0 {
+		t.Fatal("flux imported no halo; the overlap was not exercised")
 	}
 	if err := r.res.Sync(); err != nil {
 		t.Fatal(err)
@@ -626,15 +722,6 @@ func TestEngineValidation(t *testing.T) {
 	if err := e.Run(ctx, readInc); !errors.Is(err, dist.ErrInvalid) {
 		t.Errorf("read+inc of the same dat accepted: %v", err)
 	}
-	bodyOnly := &core.Loop{
-		Name: "body", Set: r.cells,
-		Args: []core.Arg{core.ArgDat(r.x, core.IDIdx, nil, core.RW)},
-		Body: func(lo, hi int, _ []float64) {},
-	}
-	if err := e.Run(ctx, bodyOnly); !errors.Is(err, dist.ErrInvalid) {
-		t.Errorf("body-only loop accepted: %v", err)
-	}
-
 	if _, err := dist.NewEngine(dist.Config{Ranks: 0}); err == nil {
 		t.Error("0-rank engine accepted")
 	}

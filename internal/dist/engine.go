@@ -23,9 +23,10 @@ const mailboxDepth = 16
 // TraceFunc observes engine execution phases; used by tests to prove
 // compute/communication overlap and by tools to trace progress. It is
 // called from rank worker goroutines and must be safe for concurrent use.
-// Phases: "interior" (one interior chunk executed), "halo" (about to wait
-// for read-halo messages), "boundary" (one boundary chunk executed),
-// "apply" (increment application done).
+// Phases: "interior" (one run executed while the read-halo exchange is
+// in flight), "halo" (about to wait for read-halo messages), "boundary"
+// (one run executed after the halo gate), "hoist" (an exchange posted
+// ahead of its loop).
 type TraceFunc func(loop string, rank int, phase string)
 
 // Config configures an Engine.
@@ -52,13 +53,15 @@ type Config struct {
 
 // Engine is the owner-compute distributed runtime: every set is
 // partitioned across ranks (for real, or derived through a map), every
-// written dat is sharded into per-rank owned blocks plus an import halo,
-// and each rank is one persistent worker goroutine with a mailbox.
+// written dat is sharded into per-rank owned blocks plus an import halo
+// in one rank-local array, and each rank is one persistent worker
+// goroutine with a mailbox that runs each loop's own RangeBody over its
+// local arrays.
 //
 // Per loop, each rank posts its read-halo exchange as futures, executes
-// its interior elements while the messages are in flight, and gates only
-// the boundary elements and the increment application on halo
-// resolution — the paper's latency-hiding applied to distribution.
+// the elements that read no halo value while the messages are in
+// flight, and gates only the rest on halo resolution — the paper's
+// latency-hiding applied to distribution.
 //
 // Loops must be submitted from a single goroutine (the same contract as
 // the dataflow backend): submission order defines both the per-rank
@@ -92,13 +95,14 @@ type Engine struct {
 	mu      sync.Mutex
 	sets    map[*core.Set]*setPart
 	topos   map[*core.Set]*part.Topology
-	dats    map[*core.Dat]*shardedDat
-	plans   map[string]*loopPlan  // structural key: set + args (see loopKey)
-	steps   map[string]*stepPlan  // structural key: joined loop keys (see stepKey)
-	builds  int                   // loop plans built (not served from cache)
-	fenced  map[*core.Global]bool // globals whose Sync/Future fence this engine
-	tail    *hpx.Future[struct{}] // completion of the last submitted step
-	pending []error               // loop errors not yet delivered to any caller
+	dats    map[*core.Dat]*localDat // sharded dats
+	copies  map[*core.Dat]*localDat // rank-local copies of replicated dats on partitioned sets
+	plans   map[string]*loopPlan    // structural key: set + args (see loopKey)
+	steps   map[string]*stepPlan    // structural key: joined loop keys (see stepKey)
+	builds  int                     // loop plans built (not served from cache)
+	fenced  map[*core.Global]bool   // globals whose Sync/Future fence this engine
+	tail    *hpx.Future[struct{}]   // completion of the last submitted step
+	pending []error                 // loop errors not yet delivered to any caller
 	closed  bool
 	failErr error // first permanent failure; non-nil rejects new submissions
 
@@ -112,15 +116,18 @@ type Engine struct {
 	postMu  sync.Mutex // serializes mailbox posting across submitters
 	workers []*worker
 
-	// bufs[r] is rank r's message-buffer free list: every halo message a
+	// bufs[r] is rank r's message-buffer pool: every halo message a
 	// rank sends is packed into a buffer drawn from its own pool and
 	// returned there by the receiving rank once the payload has been
-	// scattered or applied — steady-state timesteps allocate no new
-	// message buffers (BufferStats is the observable).
-	bufs []bufPool
+	// scattered — receivers know the source rank, so each pool serves
+	// its rank's sends. Step plans reserve their traffic when they
+	// compile (reserveLocked), so steady-state timesteps allocate no
+	// message buffers from the first step (BufferStats is the
+	// observable).
+	bufs []Pool[float64]
 
-	// subs pools step submissions (tasks, per-rank done LCOs, kernel and
-	// fold scratch); a submission recycles itself once its driver — the
+	// subs pools step submissions (tasks, per-rank done LCOs, the
+	// submitted loops); a submission recycles itself once its driver — the
 	// last toucher — has resolved the step future.
 	subs sync.Pool
 
@@ -131,60 +138,12 @@ type Engine struct {
 	foldPartials [][]float64
 }
 
-// bufPool is one rank's message-buffer free list. Senders draw from
-// their own rank's pool; receivers return a consumed buffer to the
-// SENDER's pool (they know the source rank), so each list converges to
-// the union of the rank's in-flight message shapes after the first
-// timestep.
-type bufPool struct {
-	mu   sync.Mutex
-	free [][]float64
-	news atomic.Int64 // buffers allocated (pool misses)
-	gets atomic.Int64 // buffers handed out
-}
-
-// maxFreeBufs bounds a rank's free list; beyond it returned buffers are
-// dropped to the GC (a backstop against pathological shape churn, far
-// above any steady schedule's needs).
-const maxFreeBufs = 64
-
-// get returns an empty buffer with capacity >= n.
-func (p *bufPool) get(n int) []float64 {
-	p.gets.Add(1)
-	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if cap(p.free[i]) >= n {
-			b := p.free[i]
-			p.free[i] = p.free[len(p.free)-1]
-			p.free[len(p.free)-1] = nil
-			p.free = p.free[:len(p.free)-1]
-			p.mu.Unlock()
-			return b[:0]
-		}
-	}
-	p.mu.Unlock()
-	p.news.Add(1)
-	return make([]float64, 0, n)
-}
-
-// put returns a consumed buffer to the free list.
-func (p *bufPool) put(b []float64) {
-	if cap(b) == 0 {
-		return
-	}
-	p.mu.Lock()
-	if len(p.free) < maxFreeBufs {
-		p.free = append(p.free, b[:0])
-	}
-	p.mu.Unlock()
-}
-
 // getBuf draws a message buffer from rank r's pool.
-func (e *Engine) getBuf(r, n int) []float64 { return e.bufs[r].get(n) }
+func (e *Engine) getBuf(r, n int) []float64 { return e.bufs[r].Get(n) }
 
 // putBuf returns a consumed message buffer to rank r's (the sender's)
 // pool.
-func (e *Engine) putBuf(r int, b []float64) { e.bufs[r].put(b) }
+func (e *Engine) putBuf(r int, b []float64) { e.bufs[r].Put(b) }
 
 // BufferStats reports the engine's message-buffer pooling counters:
 // how many buffers were ever allocated (pool misses) and how many were
@@ -199,8 +158,9 @@ type BufferStats struct {
 func (e *Engine) BufferStats() BufferStats {
 	var st BufferStats
 	for r := range e.bufs {
-		st.Allocated += e.bufs[r].news.Load()
-		st.Requested += e.bufs[r].gets.Load()
+		ps := e.bufs[r].Stats()
+		st.Allocated += ps.Misses
+		st.Requested += ps.Gets
 	}
 	return st
 }
@@ -253,7 +213,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		local:       -1,
 		sets:        map[*core.Set]*setPart{},
 		topos:       map[*core.Set]*part.Topology{},
-		dats:        map[*core.Dat]*shardedDat{},
+		dats:        map[*core.Dat]*localDat{},
+		copies:      map[*core.Dat]*localDat{},
 		plans:       map[string]*loopPlan{},
 		steps:       map[string]*stepPlan{},
 		fenced:      map[*core.Global]bool{},
@@ -268,7 +229,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, invalidf("transport hosts rank %d, engine has ranks [0,%d)", e.local, cfg.Ranks)
 		}
 	}
-	e.bufs = make([]bufPool, cfg.Ranks)
+	e.bufs = make([]Pool[float64], cfg.Ranks)
 	if pb, ok := cfg.Transport.(PoolBinder); ok {
 		pb.BindBufferPool(e.getBuf, e.putBuf)
 	}
@@ -307,15 +268,15 @@ func (e *Engine) StepsRun() int64 { return e.stepsRun.Load() }
 // PlanBuilds reports how many loop plans were actually built (cache
 // misses) over the engine's lifetime — the observable behind the
 // per-dat invalidation tests: re-sharding one dat must not rebuild
-// unrelated loops' locator tables.
+// unrelated loops' plans.
 func (e *Engine) PlanBuilds() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.builds
 }
 
-// MessagesSent reports the total halo messages (read-halo and increment)
-// posted to the transport since the engine was created.
+// MessagesSent reports the total read-halo messages posted to the
+// transport since the engine was created.
 func (e *Engine) MessagesSent() int64 { return e.tr.sent.Load() }
 
 // HaloTimeouts reports how many halo exchanges hit the engine's
@@ -364,7 +325,7 @@ func (e *Engine) rejectFailedLocked() error {
 }
 
 // Fence blocks until every submitted loop and step has completed —
-// including deferred increment applies and reduction folds — and
+// reduction folds included — and
 // reports the first loop error no caller has observed yet.
 func (e *Engine) Fence() error { return e.waitTail() }
 
@@ -436,9 +397,9 @@ func (e *Engine) derivePartLocked(set *core.Set, m *core.Map, target *setPart) *
 }
 
 // ensureShardedLocked moves a dat into owned+halo storage, scattering the
-// declaration's (still authoritative) global values into the shards and
-// installing the Sync flush that writes them back.
-func (e *Engine) ensureShardedLocked(d *core.Dat) (*shardedDat, error) {
+// declaration's (still authoritative) global values into the owned
+// blocks and installing the Sync flush that writes them back.
+func (e *Engine) ensureShardedLocked(d *core.Dat) (*localDat, error) {
 	if sd := e.dats[d]; sd != nil {
 		return sd, nil
 	}
@@ -447,7 +408,7 @@ func (e *Engine) ensureShardedLocked(d *core.Dat) (*shardedDat, error) {
 		return nil, invalidf("dat %q: set %q is not partitioned", d.Name(), d.Set().Name())
 	}
 	dim := d.Dim()
-	sd := &shardedDat{d: d, sp: sp, owned: make([][]float64, e.ranks), halo: make([][]float64, e.ranks)}
+	sd := &localDat{d: d, sp: sp, sharded: true, vals: make([][]float64, e.ranks)}
 	global := d.Data()
 	for r := 0; r < e.ranks; r++ {
 		ids := sp.owned[r]
@@ -455,14 +416,30 @@ func (e *Engine) ensureShardedLocked(d *core.Dat) (*shardedDat, error) {
 		for i, id := range ids {
 			copy(buf[i*dim:(i+1)*dim], global[int(id)*dim:(int(id)+1)*dim])
 		}
-		sd.owned[r] = buf
+		sd.vals[r] = buf
 	}
 	e.dats[d] = sd
+	delete(e.copies, d)
+	if r := e.local; r >= 0 {
+		// A flush allgathers the owned blocks (gatherFlush) dat after
+		// dat, so a peer's next shard can arrive before this rank has
+		// consumed the current one, and a written frame may not be back
+		// in the pool yet when the next dat's is framed: reserve
+		// pipelineDepth inbound shards per peer and outbound frames.
+		for s := 0; s < e.ranks; s++ {
+			if s != r {
+				e.bufs[s].Reserve(pipelineDepth, len(sp.owned[s])*dim)
+			}
+		}
+		if fr, ok := e.tr.inner.(FrameReserver); ok {
+			fr.ReserveFrames(pipelineDepth*(e.ranks-1), len(sp.owned[r])*dim)
+		}
+	}
 	d.SetFlush(func() error { return e.flushDat(sd) })
 	d.SetScatter(func() error { return e.scatterDat(sd) })
 	// Per-dat invalidation: only the plans that read THIS dat from its
 	// (now stale) global storage are rebuilt against the shards;
-	// unrelated loops' locator tables survive.
+	// unrelated loops' plans survive.
 	for l, lp := range e.plans {
 		for _, rd := range lp.repl {
 			if rd == d {
@@ -480,6 +457,22 @@ func (e *Engine) ensureShardedLocked(d *core.Dat) (*shardedDat, error) {
 		}
 	}
 	return sd, nil
+}
+
+// copyLocked returns the rank-local copy of replicated dat d, creating it
+// on first use, or nil when d's set is not partitioned: loops then index
+// the host array with global ids, and maps into the set stay global.
+func (e *Engine) copyLocked(d *core.Dat) *localDat {
+	sp := e.sets[d.Set()]
+	if sp == nil {
+		return nil
+	}
+	c := e.copies[d]
+	if c == nil {
+		c = &localDat{d: d, sp: sp, vals: make([][]float64, e.ranks)}
+		e.copies[d] = c
+	}
+	return c
 }
 
 // waitTail blocks until every submitted loop (including its reduction
@@ -563,7 +556,7 @@ func (e *Engine) fenceReplicatedLocked(d *core.Dat) {
 // In SPMD mode the remote shards are allgathered first (a collective —
 // every process flushes the same dats in the same program order), so
 // Data() is globally authoritative on every process.
-func (e *Engine) flushDat(sd *shardedDat) error {
+func (e *Engine) flushDat(sd *localDat) error {
 	if err := e.waitTail(); err != nil {
 		return err
 	}
@@ -577,7 +570,7 @@ func (e *Engine) flushDat(sd *shardedDat) error {
 	global := sd.d.Data()
 	for r := 0; r < e.ranks; r++ {
 		for i, id := range sd.sp.owned[r] {
-			copy(global[int(id)*dim:(int(id)+1)*dim], sd.owned[r][i*dim:(i+1)*dim])
+			copy(global[int(id)*dim:(int(id)+1)*dim], sd.vals[r][i*dim:(i+1)*dim])
 		}
 	}
 	return nil
@@ -588,11 +581,11 @@ func (e *Engine) flushDat(sd *shardedDat) error {
 // into the owned shards so host writes made after the first scatter are
 // observed by later loops. Halo copies on other ranks refresh with the
 // next read exchange, which every importing loop or step posts anyway.
-// Locator tables stay valid — ownership did not change — so no plan is
+// Plans stay valid — ownership did not change — so none is
 // invalidated. In SPMD mode no traffic is needed: the host-side global
 // storage is replicated identically on every process (flushes gather,
 // folds gather), so each process refreshes its shards from its own copy.
-func (e *Engine) scatterDat(sd *shardedDat) error {
+func (e *Engine) scatterDat(sd *localDat) error {
 	if err := e.waitTail(); err != nil {
 		return err
 	}
@@ -600,7 +593,7 @@ func (e *Engine) scatterDat(sd *shardedDat) error {
 	global := sd.d.Data()
 	for r := 0; r < e.ranks; r++ {
 		for i, id := range sd.sp.owned[r] {
-			copy(sd.owned[r][i*dim:(i+1)*dim], global[int(id)*dim:(int(id)+1)*dim])
+			copy(sd.vals[r][i*dim:(i+1)*dim], global[int(id)*dim:(int(id)+1)*dim])
 		}
 	}
 	return nil
@@ -623,8 +616,7 @@ func (e *Engine) RunAsync(ctx context.Context, l *core.Loop) *hpx.Future[struct{
 }
 
 // RunStep executes the step collectively across all ranks and returns
-// once every rank (including deferred increment applies) and the
-// reduction folds have completed. The returned error — the first of any
+// once every rank and the reduction folds have completed. The returned error — the first of any
 // member loop — is marked delivered, so the next fence does not report
 // it again.
 func (e *Engine) RunStep(ctx context.Context, name string, loops []*core.Loop) error {
@@ -637,13 +629,12 @@ func (e *Engine) RunStep(ctx context.Context, name string, loops []*core.Loop) e
 
 // RunStepAsync submits every loop of the step as one unit and returns a
 // single future for the whole step: it resolves once every rank has
-// finished every member loop (deferred applies included) and the
-// driver has folded the step's reductions, and it carries the first
-// error of any member loop. Building the step's plan hands the engine
-// the full dataflow DAG, which is what enables the cross-loop
-// optimizations: read-halo exchanges coalesced across loops sharing a
-// dat's halo, and a loop's increment exchange overlapping the next
-// loops' interiors (see stepPlan).
+// finished every member loop and the driver has folded the step's
+// reductions, and it carries the first error of any member loop.
+// Building the step's plan hands the engine the full dataflow DAG,
+// which is what enables the cross-loop optimizations: read-halo
+// exchanges coalesced across loops sharing a dat's halo, and posted as
+// soon as their dats are final (see stepPlan).
 func (e *Engine) RunStepAsync(ctx context.Context, name string, loops []*core.Loop) *hpx.Future[struct{}] {
 	if ctx == nil {
 		ctx = context.Background()
@@ -716,10 +707,9 @@ func (e *Engine) RunStepHandleAsync(ctx context.Context, h *StepHandle) *hpx.Fut
 
 // submission is the pooled per-step dispatch state: one task per rank
 // (each a pointer into the embedded slice), the per-rank completion LCOs
-// the driver collects, and the kernel snapshot of the submitted loops.
-// Kernels travel per submission (plans are structural and shared), so
-// re-attached kernels are observed and pipelined submissions cannot race
-// each other's slices. The driver is the last toucher of every pooled
+// the driver collects, and the submitted loops. Loops travel per
+// submission (plans are structural and shared by same-shaped loops), so
+// each rank binds the body of the loop actually submitted. The driver is the last toucher of every pooled
 // field — all rank LCOs resolved means all workers are done with their
 // tasks — so it recycles the submission right after resolving the step
 // future (which is NOT pooled: it outlives the submission as the engine
@@ -728,8 +718,9 @@ type submission struct {
 	eng     *Engine
 	ctx     context.Context
 	sp      *stepPlan
-	kernels []core.Kernel
+	loops   []*core.Loop
 	gate    hpx.Waiter            // youngest global-hazard future (gateLocked), or nil
+	parity  int                   // which of the plan's two reduction-buffer sets this submission uses
 	prev    *hpx.Future[struct{}] // previous step future (driver ordering)
 	pStep   *hpx.Promise[struct{}]
 	tasks   []task
@@ -773,13 +764,14 @@ type gateRef struct {
 // last reducer of every global it reduces. The worker-side hazards a
 // reducing or global-reading step can race are exactly:
 //
-//   - a kernel reading a global (argGblRead) vs. the driver-side fold of
+//   - a body reading a global (a Read global arg) vs. the driver-side fold of
 //     an EARLIER submission that reduces that global — gate on the
 //     global's last reducer;
-//   - the per-rank reduction buffers (stepRank.redBuf/redOut), reused
-//     across invocations of the same plan, vs. that plan's previous
-//     driver fold still reading them — gate on the plan's own previous
-//     submission.
+//   - the per-rank reduction buffers (stepRank.redBuf/redOut), two sets
+//     used by alternate invocations of the same plan, vs. the driver
+//     fold of the plan's invocation before last still reading the same
+//     set — gate on that submission. The fold of the previous
+//     invocation thus overlaps this one's execution.
 //
 // Everything else is already ordered: drivers fold serially (each waits
 // the previous step future before folding), so write-after-read and
@@ -788,11 +780,13 @@ type gateRef struct {
 // candidate subsumes every older one — steps whose members touch
 // disjoint globals therefore no longer gate on the previous tail and
 // reduction-bearing jobs pipeline deeper.
-func (e *Engine) gateLocked(sp *stepPlan, fStep *hpx.Future[struct{}]) hpx.Waiter {
+func (e *Engine) gateLocked(sp *stepPlan, fStep *hpx.Future[struct{}]) (gate hpx.Waiter, parity int) {
 	e.subSeq++
+	parity = int(sp.subs & 1)
+	sp.subs++
 	var g gateRef
-	if len(sp.gblReduces) > 0 && sp.lastSub.seq > g.seq {
-		g = sp.lastSub
+	if len(sp.gblReduces) > 0 && sp.lastSub[parity].seq > g.seq {
+		g = sp.lastSub[parity]
 	}
 	for _, gl := range sp.gblReads {
 		if r := e.lastReduce[gl]; r.seq > g.seq {
@@ -801,15 +795,15 @@ func (e *Engine) gateLocked(sp *stepPlan, fStep *hpx.Future[struct{}]) hpx.Waite
 	}
 	if len(sp.gblReduces) > 0 {
 		ref := gateRef{f: fStep, seq: e.subSeq}
-		sp.lastSub = ref
+		sp.lastSub[parity] = ref
 		for _, gl := range sp.gblReduces {
 			e.lastReduce[gl] = ref
 		}
 	}
 	if g.f == nil {
-		return nil
+		return nil, parity
 	}
-	return g.f
+	return g.f, parity
 }
 
 // submitLocked finishes a step submission with e.mu held (and releases
@@ -820,16 +814,13 @@ func (e *Engine) submitLocked(ctx context.Context, sp *stepPlan, loops []*core.L
 	prev := e.tail
 	pStep, fStep := hpx.NewPromise[struct{}]()
 	e.tail = fStep
-	gate := e.gateLocked(sp, fStep)
+	gate, parity := e.gateLocked(sp, fStep)
 	e.mu.Unlock()
 
 	sub := e.getSubmission()
 	sub.ctx, sub.sp, sub.prev, sub.pStep = ctx, sp, prev, pStep
-	sub.kernels = sub.kernels[:0]
-	for _, l := range loops {
-		sub.kernels = append(sub.kernels, l.Kernel)
-	}
-	sub.gate = gate
+	sub.loops = append(sub.loops[:0], loops...)
+	sub.gate, sub.parity = gate, parity
 	// Post in rank order under postMu so concurrent submitters cannot
 	// interleave two steps' tasks differently on different mailboxes.
 	// In SPMD mode only the local rank has a worker; the peers' workers
@@ -867,10 +858,9 @@ func (sub *submission) drive() {
 	if firstErr == nil {
 		// Fold each occurrence's reduction buffers in step order. The
 		// fold scratch on the engine is safe to reuse: drivers serialize
-		// on the previous step's future. In SPMD mode the remote
-		// partials are allgathered over the control channel first, so
-		// every process folds the identical sequence and the globals
-		// stay bitwise-identical everywhere.
+		// on the previous step's future. In SPMD mode rank 0 folds the
+		// gathered partials and broadcasts the result (reduceSPMD), so
+		// the globals stay bitwise-identical everywhere.
 		if cap(e.foldPartials) < e.ranks {
 			e.foldPartials = make([][]float64, e.ranks)
 		}
@@ -880,23 +870,20 @@ func (sub *submission) drive() {
 				continue
 			}
 			if e.local >= 0 {
-				if err := e.gatherPartials(sub, o, lp, bufs); err != nil {
+				if err := e.reduceSPMD(sub, o, lp, bufs); err != nil {
 					// A torn collective leaves the control FIFO (and the
 					// peers' fold state) unrecoverable — same class as a
 					// torn halo exchange.
 					e.failPermanent(err)
 					firstErr = err
-					e.releasePartials(bufs)
 					break
 				}
-				e.applyReductions(lp, bufs)
-				e.releasePartials(bufs)
 				continue
 			}
 			for r := range bufs {
 				bufs[r] = sub.dones[r].bufs[o]
 			}
-			e.applyReductions(lp, bufs)
+			lp.applyAcc(e.foldReductions(lp, bufs))
 		}
 	}
 	pStep := sub.pStep
@@ -906,6 +893,7 @@ func (sub *submission) drive() {
 	// way — the pool is concurrency-safe — but resetting pooled fields
 	// after handing the object back would not be.)
 	sub.ctx, sub.sp, sub.prev, sub.pStep, sub.gate = nil, nil, nil, nil, nil
+	clear(sub.loops)
 	e.subs.Put(sub)
 	if firstErr != nil {
 		e.recordError(firstErr) // before resolving, so RunStep can ack it
@@ -915,13 +903,14 @@ func (sub *submission) drive() {
 	pStep.Set(struct{}{})
 }
 
-// applyReductions folds the per-rank reduction buffers into the global
-// variables. Inc reductions fold per-element contributions in the serial
-// plan order — bitwise-identical to the serial backend for kernels that
-// accumulate once per element — while pure Min/Max reductions combine
-// per-rank partials up a binary tree (min and max are associative, so
-// the tree shape cannot change the result).
-func (e *Engine) applyReductions(lp *loopPlan, bufs [][]float64) {
+// foldReductions folds the per-rank reduction buffers into one
+// accumulator (the engine's fold scratch). Inc reductions fold
+// per-element contributions in the serial plan order — bitwise-identical
+// to the serial backend for kernels that accumulate once per element —
+// while pure Min/Max reductions combine per-rank partials up a binary
+// tree (min and max are associative, so the tree shape cannot change
+// the result).
+func (e *Engine) foldReductions(lp *loopPlan, bufs [][]float64) []float64 {
 	size := lp.gbl.size
 	// Fold scratch is engine-level and reused: folds serialize on the
 	// previous step's future (see drive).
@@ -932,9 +921,15 @@ func (e *Engine) applyReductions(lp *loopPlan, bufs [][]float64) {
 	copy(acc, lp.gbl.init)
 	if lp.needElementwise {
 		for _, el := range lp.foldOrder {
-			r := lp.itsp.owner[el]
-			s := bufs[r][int(lp.execPos[el])*size : (int(lp.execPos[el])+1)*size]
-			lp.combineScratch(acc, s)
+			r, li := lp.itsp.owner[el], int(lp.itsp.local[el])
+			s := bufs[r][li*size : (li+1)*size]
+			if !lp.gbl.allInc {
+				lp.combineScratch(acc, s)
+				continue
+			}
+			for k, v := range s {
+				acc[k] += v
+			}
 		}
 	} else {
 		// Tree combine across rank partials.
@@ -955,25 +950,27 @@ func (e *Engine) applyReductions(lp *loopPlan, bufs [][]float64) {
 		}
 		lp.combineScratch(acc, partials[0])
 	}
-	for i := range lp.args {
-		ap := &lp.args[i]
-		if ap.kind != argGblReduce {
-			continue
+	return acc
+}
+
+// applyAcc folds a reduction accumulator into the global variables.
+func (lp *loopPlan) applyAcc(acc []float64) {
+	for i, a := range lp.l.Args {
+		if off := lp.gbl.offs[i]; off >= 0 {
+			dim := a.Global().Dim()
+			core.ReduceCombine(a.Acc(), a.Global().Data()[:dim], acc[off:off+dim])
 		}
-		g := ap.g.Data()
-		core.ReduceCombine(lp.l.Args[i].Acc(), g[:ap.dim], acc[ap.off:ap.off+ap.dim])
 	}
 }
 
 // combineScratch folds scratch s into acc, argument by argument, with
 // the same merge definition every backend shares (core.ReduceCombine).
 func (lp *loopPlan) combineScratch(acc, s []float64) {
-	for i := range lp.args {
-		ap := &lp.args[i]
-		if ap.kind != argGblReduce {
-			continue
+	for i, a := range lp.l.Args {
+		if off := lp.gbl.offs[i]; off >= 0 {
+			dim := a.Global().Dim()
+			core.ReduceCombine(a.Acc(), acc[off:off+dim], s[off:off+dim])
 		}
-		core.ReduceCombine(lp.l.Args[i].Acc(), acc[ap.off:ap.off+ap.dim], s[ap.off:ap.off+ap.dim])
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"op2hpx/internal/core"
 	"op2hpx/internal/dist"
 	"op2hpx/internal/fault"
 )
@@ -58,16 +59,19 @@ func faultEngine(t *testing.T, ranks int, rules ...fault.Rule) (*ring, *dist.Eng
 	return r, e, ft
 }
 
-// stepUntilError drives flux rounds until one fails (halo faults can
-// surface a round late: an extra or missing message is detected by the
-// next receive on the pair) and returns the first error.
+// stepUntilError drives scale+flux rounds until one fails (halo faults
+// can surface a round late: an extra or missing message is detected by
+// the next receive on the pair) and returns the first error. scale
+// writes x, so flux imports x's halo every round.
 func stepUntilError(t *testing.T, r *ring, e *dist.Engine, rounds int) error {
 	t.Helper()
 	return runBounded(t, func() error {
 		ctx := context.Background()
 		for i := 0; i < rounds; i++ {
-			if err := e.Run(ctx, r.flux); err != nil {
-				return err
+			for _, l := range []*core.Loop{r.scale, r.flux} {
+				if err := e.Run(ctx, l); err != nil {
+					return err
+				}
 			}
 		}
 		return nil

@@ -115,17 +115,17 @@ func TestHoistedExchangePostsBeforeIntermediateLoop(t *testing.T) {
 }
 
 // TestHoistWaitsForIncrementApply pins the other half of the hoist rule:
-// when the producing loop writes through buffered increments (spread),
-// the exchange can only post once the deferred apply has resolved — the
-// plan must NOT post it while the increment exchange is still pending,
-// or stale owned values would be shipped. The step
+// when the producing loop writes through increments (spread), the
+// exchange can only post once spread has run — its increments land in
+// place during its occurrence, so posting earlier would ship stale owned
+// values. The step
 //
-//	spread  (increments res through the map; apply deferred)
+//	spread  (increments res through the map, exec halo included)
 //	scaleY  (independent)
 //	readRes (imports the res halo)
 //
-// must produce the serial result bitwise: a hoist past spread's apply
-// would break it.
+// must produce the serial result bitwise: a hoist before spread would
+// break it.
 func TestHoistWaitsForIncrementApply(t *testing.T) {
 	const n, ranks = 48, 3
 	ctx := context.Background()

@@ -11,19 +11,17 @@ import (
 // occurrence's own read-halo exchange), "hoist" (posting a later
 // occurrence's exchange early), "interior" (compute overlapped with
 // messages in flight), "halo" (waiting for + scattering read imports),
-// "boundary" (compute gated on the halo), "inc-apply" (waiting for +
-// folding increment contributions).
+// "boundary" (compute gated on the halo).
 const (
 	phIssue = iota
 	phHoist
 	phInterior
 	phHalo
 	phBoundary
-	phIncApply
 	nPhases
 )
 
-var phaseNames = [nPhases]string{"issue", "hoist", "interior", "halo", "boundary", "inc-apply"}
+var phaseNames = [nPhases]string{"issue", "hoist", "interior", "halo", "boundary"}
 
 // SetMetrics attaches a metrics registry to the engine; pass nil to
 // disable. The engine exports its communication counters (halo messages
@@ -40,7 +38,7 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		return
 	}
 	r.CounterFunc("op2_halo_messages_total",
-		"Halo messages (read-halo and increment) posted to the transport.",
+		"Halo messages posted to the transport.",
 		func() float64 { return float64(e.tr.sent.Load()) })
 	r.CounterFunc("op2_halo_buffers_allocated_total",
 		"Message buffers allocated (buffer-pool misses).",

@@ -46,23 +46,22 @@ func TestEngineMetricsAndSpans(t *testing.T) {
 		`op2_dist_phase_seconds_bucket{phase="interior"`,
 		`op2_dist_phase_seconds_bucket{phase="halo"`,
 		`op2_dist_phase_seconds_bucket{phase="boundary"`,
-		`op2_dist_phase_seconds_bucket{phase="inc-apply"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
 
-	// The ring's flux loop has read halos and increments on every rank:
-	// spans must cover the exchange-post, compute and apply phases, with
-	// rank lanes spanning the engine.
+	// The ring's flux loop reads x's halo on every rank once scale has
+	// written x: spans must cover the exchange-post, compute and halo
+	// phases, with rank lanes spanning the engine.
 	phases := map[string]bool{}
 	rankSeen := map[int32]bool{}
 	for _, s := range ring.Snapshot() {
 		phases[s.Phase] = true
 		rankSeen[s.Rank] = true
 	}
-	for _, ph := range []string{"issue", "interior", "halo", "boundary", "inc-apply"} {
+	for _, ph := range []string{"issue", "interior", "halo", "boundary"} {
 		if !phases[ph] {
 			t.Errorf("no span recorded for phase %q (got %v)", ph, phases)
 		}

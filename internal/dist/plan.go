@@ -10,8 +10,8 @@ import (
 )
 
 // ErrInvalid classifies plan-time failures of the distributed engine:
-// unsupported access modes, partitioners missing topology information,
-// loops without a generic kernel. The public facade maps it onto
+// unsupported access modes, intra-loop aliasing, partitioners missing
+// topology information. The public facade maps it onto
 // op2.ErrValidation.
 var ErrInvalid = errors.New("dist: invalid configuration")
 
@@ -66,110 +66,101 @@ func (sp *setPart) slotFor(r int, id int32) int32 {
 	return s
 }
 
-// shardedDat is a dat under owned+halo storage: rank r holds the values
-// of its owned elements in owned[r] (indexed by local id) plus an import
-// halo in halo[r] (indexed by the set's halo slots). The declaration's
-// global array is stale between flushes; the shards are authoritative.
-type shardedDat struct {
-	d     *core.Dat
-	sp    *setPart
-	owned [][]float64
-	halo  [][]float64 // grown and touched only by the owning rank's worker
+// localFor returns rank r's local index of global element id: its
+// position in r's owned block, or the block length plus its halo slot
+// (assigned on first use). Every rank-local array of the set — dat
+// storage and localized maps alike — uses this numbering. Called only
+// while the engine lock is held.
+func (sp *setPart) localFor(r int, id int32) int32 {
+	if sp.owner[id] == int32(r) {
+		return sp.local[id]
+	}
+	return int32(len(sp.owned[r])) + sp.slotFor(r, id)
 }
 
-// argKind classifies a loop argument for distributed execution.
-type argKind int
+// nLocal reports how many elements rank r's local numbering holds.
+func (sp *setPart) nLocal(r int) int { return len(sp.owned[r]) + len(sp.haloIDs[r]) }
 
-const (
-	argGblRead      argKind = iota // global parameter, read-only
-	argGblReduce                   // global reduction (Inc/Min/Max)
-	argDirect                      // direct access to a sharded dat
-	argDirectRepl                  // direct read of a replicated dat
-	argIndirect                    // indirect read of a sharded dat (owned or halo)
-	argIndirectRepl                // indirect read of a replicated dat
-	argInc                         // indirect increment of a sharded dat (buffered)
-)
-
-type argPlan struct {
-	kind argKind
-	dim  int
-	g    *core.Global
-	d    *core.Dat   // replicated storage (repl kinds)
-	sd   *shardedDat // sharded storage (direct/indirect/inc kinds)
-	m    *core.Map
-	idx  int
-	off  int // scratch offset (argGblReduce)
-	ia   int // dense increment-arg index (argInc)
+// localDat is a dat in rank-local storage: vals[r] holds rank r's values
+// in its local numbering of the dat's set (owned block, then halo slots),
+// so a RangeBody indexes it exactly as it would the global array. A
+// sharded dat (some loop writes it) keeps its authoritative values in
+// the owned blocks — the declaration's global array is stale between
+// flushes — and imported copies or, for the targets of redundantly
+// executed increments, discarded scratch in its halo slots. A replicated
+// dat (only ever read) on a partitioned set gets a local copy that every
+// step reading it refreshes from the global array.
+type localDat struct {
+	d       *core.Dat
+	sp      *setPart
+	sharded bool
+	vals    [][]float64 // grown and touched only by the owning rank's worker
 }
 
 // gblLayout mirrors the core scratch layout for reducing global args.
 type gblLayout struct {
-	size int
-	init []float64
+	size   int
+	offs   []int // per arg: scratch offset, -1 for non-reducing args
+	init   []float64
+	allInc bool // every reducing arg is Inc: zero init, fold by addition
 }
 
-// loopPlan is the distributed execution plan of one loop: ownership and
-// interior/boundary split of the iteration set, localized argument
-// tables per rank, the read-halo and increment exchange schedules, and
-// the serial-order apply and reduction metadata that keep the results
-// bitwise-identical to the shared-memory backends.
+// loopPlan is the distributed execution plan of one loop: per rank, the
+// elements it executes as runs of local indices, its maps rewritten to
+// local indices and the read-halo exchange that makes its reads fresh.
+//
+// Each rank runs the loop's own RangeBody over rank-local arrays. A loop
+// that increments through a map also executes its exec halo on every
+// rank: the elements another rank owns that increment a target this rank
+// owns. Every owned target therefore takes all its contributions in
+// place, in serial plan order, and no increment crosses the wire;
+// contributions to halo targets (and the exec halo's global reductions)
+// are discarded.
 type loopPlan struct {
 	l    *core.Loop
 	name string
 	itsp *setPart
 
-	args    []argPlan
-	incArgs []int         // arg indices with kind argInc, in arg order
-	readSDs []*shardedDat // distinct sharded dats read indirectly, in arg order
-	repl    []*core.Dat   // dats read as replicated (plan invalidated if sharded later)
+	dats    map[*core.Dat]*localDat // every declared dat; nil: the host array
+	sds     []*localDat             // per arg: the sharded dat it accesses, nil otherwise
+	readSDs []*localDat             // sharded dats imported through the halo, in arg order
+	repl    []*core.Dat             // dats read as replicated (plan invalidated if sharded later)
 
 	gbl             gblLayout
 	needElementwise bool  // any Inc global: reduction folds per element in serial order
 	foldOrder       []int // serial element order (plan colors/blocks/elements)
-	execPos         []int32
 
 	ranks []*rankPlan
 }
 
-// applyList is one rank's increment application schedule, in the serial
-// plan order of the contributing elements: entry i adds the dim(arg[i])
-// contribution found at position pos[i] of source src[i]'s stream for
-// increment-arg arg[i] onto owned element target[i].
-type applyList struct {
-	arg    []int32
-	target []int32
-	src    []int32
-	pos    []int32
+// execRun is a range [lo, hi) of a rank's local iteration indices the
+// body executes in one call.
+type execRun struct{ lo, hi int32 }
+
+// growNeed is the local element count a rank's storage of one dat must
+// cover before a plan's bodies index it.
+type growNeed struct {
+	ld *localDat
+	n  int
 }
 
 type readSendPart struct {
-	sd     *shardedDat
+	sd     *localDat
 	locals []int32 // owned local indices to gather, ascending global id
 }
 
 type readRecvPart struct {
-	sd    *shardedDat
-	slots []int32 // halo slots to scatter into, ascending global id
-}
-
-type incSendPart struct {
-	ia  int
-	pos []int32 // exec positions into incBuf[ia], ascending global element id
-}
-
-type haloNeed struct {
-	sd    *shardedDat
-	slots int
+	sd     *localDat
+	locals []int32 // halo local indices to scatter into, ascending global id
 }
 
 // readSchedule is one rank's read-halo exchange for one posting point:
 // which owned values to pack per destination, which messages to expect
-// per source, and how to scatter them into halo slots. A loopPlan holds
-// the solo schedule of each rank (what the loop needs when issued on its
-// own); a multi-loop step builds union schedules that serve every loop
-// of a coalescing group with one exchange (see stepPlan).
+// per source, and where to scatter them. A loopPlan holds the solo
+// schedule of each rank (what the loop needs when issued on its own); a
+// multi-loop step builds union schedules that serve every loop of a
+// coalescing group with one exchange (see stepPlan).
 type readSchedule struct {
-	need     []haloNeed       // halo storage growth required before scattering
 	sendTo   [][]readSendPart // per dst rank; empty = no message
 	sendLen  []int            // floats per dst
 	recvFrom [][]readRecvPart // per src rank
@@ -191,30 +182,34 @@ func (rs *readSchedule) active() bool {
 	return false
 }
 
-// rankPlan is the per-rank slice of a loopPlan. incBuf is reused across
-// invocations (zeroed at task start); it is only ever touched by this
-// rank's worker, which processes loops strictly in order.
+// rankPlan is the per-rank slice of a loopPlan.
 type rankPlan struct {
-	rank      int
-	elems     []int32 // interior ++ boundary, in serial plan order
-	ninterior int
-	loc       [][]int32 // per arg: localized index per exec position (nil for kinds without a table)
+	// nOwned is the rank's owned iteration elements: local indices
+	// [0, nOwned). Higher indices are its exec halo.
+	nOwned int
+	// runs lists the executed local indices in execution order: the
+	// first nEarly runs need no halo value and execute while the
+	// exchange is in flight; the rest run after it resolves.
+	runs   []execRun
+	nEarly int
 
-	incBuf [][]float64 // per dense increment-arg index
+	maps    map[*core.Map][]int32 // localized maps (ranks this process hosts)
+	imports map[*localDat][]int32 // halo ids read per sharded dat, ascending
+	need    []growNeed            // storage the plan's bound arrays index
+	read    *readSchedule         // the loop's own read-halo exchange
 
-	// views is the rank's reusable kernel argument-view slice: only this
-	// rank's worker touches it, and workers process occurrences and
-	// steps strictly in order.
-	views [][]float64
+	// bound caches the body bound to this rank's arrays; only this
+	// rank's worker touches it.
+	bound boundBody
+}
 
-	read *readSchedule // the loop's own read-halo exchange
-
-	incSendTo  [][]incSendPart // per dst rank
-	incSendLen []int
-	incRecvOff [][]int32 // per src rank: float offset of each dense inc arg's segment
-	incRecvLen []int
-
-	apply applyList
+// boundBody is a loop's RangeBody bound to one rank's arrays, current
+// while the loop, its generation and the rank's storage epoch match.
+type boundBody struct {
+	loop  *core.Loop
+	gen   uint64
+	epoch uint64
+	body  core.RangeBody
 }
 
 // loopKey identifies a distributed plan structurally: the iteration set
@@ -236,13 +231,10 @@ func loopKey(l *core.Loop) string {
 }
 
 // validateDistLoop rejects loops the distributed engine cannot replay
-// with serial semantics: missing generic kernels, unsupported indirect
-// access modes, and intra-loop aliasing between buffered increments,
-// direct writes and halo-snapshotted reads.
+// with serial semantics: unsupported indirect access modes, and
+// intra-loop aliasing between increments, direct writes and
+// halo-snapshotted reads.
 func validateDistLoop(l *core.Loop) error {
-	if l.Kernel == nil {
-		return invalidf("loop %q: distributed execution needs a generic Kernel (a specialized Body indexes host storage directly)", l.Name)
-	}
 	if err := l.Validate(); err != nil {
 		return err
 	}
@@ -258,11 +250,11 @@ func validateDistLoop(l *core.Loop) error {
 	}
 	// Intra-loop aliasing the engine cannot replay: serial applies
 	// increments and direct writes immediately, so a later element's
-	// read can observe them; owner-compute buffers increments and
-	// snapshots read-halos before any kernel runs. A loop that both
-	// writes a dat (inc or direct write) and reads it through a map (or
-	// reads an incremented dat at all) would silently diverge from the
-	// serial backend, so reject it instead.
+	// read can observe them; a rank snapshots its read-halo before the
+	// loop runs and sends halo targets' increments nowhere. A loop that
+	// both writes a dat (inc or direct write) and reads it through a map
+	// (or reads an incremented dat at all) would silently diverge from
+	// the serial backend, so reject it instead.
 	incd := map[*core.Dat]bool{}
 	directWrite := map[*core.Dat]bool{}
 	indirectRead := map[*core.Dat]bool{}
@@ -281,7 +273,7 @@ func validateDistLoop(l *core.Loop) error {
 	}
 	for _, a := range l.Args {
 		if !a.IsGlobal() && a.Acc() != core.Inc && incd[a.Dat()] {
-			return invalidf("loop %q: dat %q is both read and incremented; distributed increments are buffered, so reads would not observe them as the serial backend's do", l.Name, a.Dat().Name())
+			return invalidf("loop %q: dat %q is both read and incremented; a rank's halo copies would not observe other ranks' increments as the serial backend's reads do", l.Name, a.Dat().Name())
 		}
 	}
 	for d := range directWrite {
@@ -298,7 +290,7 @@ func validateDistLoop(l *core.Loop) error {
 // possible), and every written dat moved to owned+halo storage. It is
 // idempotent; a Step calls it for every member loop before any member's
 // plan is built, so a dat a later loop writes is already sharded when an
-// earlier loop's locator tables are derived.
+// earlier loop's plan is derived.
 func (e *Engine) prepareLoopLocked(l *core.Loop) error {
 	// Ownership first: target sets of indirect accesses that are (or are
 	// about to be) sharded must be partitioned before the iteration set
@@ -362,196 +354,229 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 	if err := e.prepareLoopLocked(l); err != nil {
 		return nil, err
 	}
-	R := e.ranks
-	itsp := e.sets[l.Set]
 	e.builds++
 
-	lp := &loopPlan{l: l, name: l.Name, itsp: itsp, execPos: make([]int32, l.Set.Size())}
-	lp.args = make([]argPlan, len(l.Args))
-	seenReadSD := map[*shardedDat]bool{}
-	seenRepl := map[*core.Dat]bool{}
+	lp := &loopPlan{
+		l: l, name: l.Name, itsp: e.sets[l.Set],
+		dats: map[*core.Dat]*localDat{},
+		sds:  make([]*localDat, len(l.Args)),
+		gbl:  gblLayout{offs: make([]int, len(l.Args)), allInc: true},
+	}
+	var incArgs []int
+	seenRead := map[*localDat]bool{}
 	for i, a := range l.Args {
-		ap := &lp.args[i]
-		switch {
-		case a.IsGlobal():
+		lp.gbl.offs[i] = -1
+		if a.IsGlobal() {
 			g := a.Global()
-			ap.g, ap.dim = g, g.Dim()
 			e.fenceGlobalLocked(g)
 			if a.Acc() == core.Read {
-				ap.kind = argGblRead
 				continue
 			}
-			ap.kind = argGblReduce
-			ap.off = lp.gbl.size
+			lp.gbl.offs[i] = lp.gbl.size
 			lp.gbl.size += g.Dim()
 			for k := 0; k < g.Dim(); k++ {
 				lp.gbl.init = append(lp.gbl.init, core.ReduceInit(a.Acc()))
 			}
 			if a.Acc() == core.Inc {
 				lp.needElementwise = true
-			}
-		case a.Map() == nil:
-			d := a.Dat()
-			ap.dim = d.Dim()
-			if sd := e.dats[d]; sd != nil {
-				ap.kind, ap.sd = argDirect, sd
 			} else {
-				ap.kind, ap.d = argDirectRepl, d
-				if !seenRepl[d] {
-					seenRepl[d] = true
-					lp.repl = append(lp.repl, d)
-					e.fenceReplicatedLocked(d)
-				}
+				lp.gbl.allInc = false
 			}
-		default:
-			d := a.Dat()
-			ap.dim, ap.m, ap.idx = d.Dim(), a.Map(), a.Idx()
-			sd := e.dats[d]
-			switch {
-			case a.Acc() == core.Inc:
-				ap.kind, ap.sd = argInc, sd
-				ap.ia = len(lp.incArgs)
-				lp.incArgs = append(lp.incArgs, i)
-			case sd != nil:
-				ap.kind, ap.sd = argIndirect, sd
-				if !seenReadSD[sd] {
-					seenReadSD[sd] = true
-					lp.readSDs = append(lp.readSDs, sd)
-				}
-			default:
-				ap.kind, ap.d = argIndirectRepl, d
-				if !seenRepl[d] {
-					seenRepl[d] = true
-					lp.repl = append(lp.repl, d)
-					e.fenceReplicatedLocked(d)
-				}
+			continue
+		}
+		d := a.Dat()
+		ld := e.dats[d]
+		if ld == nil {
+			if _, seen := lp.dats[d]; !seen {
+				lp.repl = append(lp.repl, d)
+				e.fenceReplicatedLocked(d)
 			}
+			ld = e.copyLocked(d)
+		} else {
+			lp.sds[i] = ld
+		}
+		lp.dats[d] = ld
+		if a.Map() != nil && a.Acc() == core.Inc {
+			incArgs = append(incArgs, i)
+		}
+	}
+	// Sharded dats that can need imports: indirect reads, and direct
+	// reads of exec-halo elements (which only increment loops have).
+	for i, a := range l.Args {
+		sd := lp.sds[i]
+		if sd == nil || seenRead[sd] {
+			continue
+		}
+		direct := a.Map() == nil && a.Acc() != core.Write && len(incArgs) > 0
+		if direct || (a.Map() != nil && a.Acc() == core.Read) {
+			seenRead[sd] = true
+			lp.readSDs = append(lp.readSDs, sd)
 		}
 	}
 
-	// The serial execution order and the interior/boundary split: an
-	// element is interior when every sharded read it performs stays on
-	// its home rank.
 	plan, err := core.LoopPlan(l, e.blockSize)
 	if err != nil {
 		return nil, err
 	}
-	home := func(el int) int { return int(itsp.owner[el]) }
-	interior := func(el int) bool {
-		r := itsp.owner[el]
-		for i := range lp.args {
-			ap := &lp.args[i]
-			if ap.kind != argIndirect {
-				continue
+	lp.foldOrder = plan.ElementOrder()
+
+	// Every element executes on its owner; an increment loop's element
+	// also executes on every rank owning one of its increment targets.
+	execs := make([][]int32, e.ranks)
+	for _, el := range lp.foldOrder {
+		o := int(lp.itsp.owner[el])
+		execs[o] = append(execs[o], int32(el))
+		for _, i := range incArgs {
+			a := l.Args[i]
+			q := int(lp.sds[i].sp.owner[a.Map().At(el, a.Idx())])
+			if q != o && (len(execs[q]) == 0 || execs[q][len(execs[q])-1] != int32(el)) {
+				execs[q] = append(execs[q], int32(el))
 			}
-			if ap.sd.sp.owner[ap.m.At(el, ap.idx)] != r {
-				return false
-			}
 		}
-		return true
 	}
-	pp := plan.PartitionOrder(R, home, interior)
-	lp.foldOrder = pp.Order
-
-	lp.ranks = make([]*rankPlan, R)
-	for r := 0; r < R; r++ {
-		rp := &rankPlan{rank: r, ninterior: len(pp.Interior[r])}
-		rp.elems = make([]int32, 0, len(pp.Interior[r])+len(pp.Boundary[r]))
-		for _, el := range pp.Interior[r] {
-			rp.elems = append(rp.elems, int32(el))
-		}
-		for _, el := range pp.Boundary[r] {
-			rp.elems = append(rp.elems, int32(el))
-		}
-		for i, el := range rp.elems {
-			lp.execPos[el] = int32(i)
-		}
-		lp.ranks[r] = rp
+	lp.ranks = make([]*rankPlan, e.ranks)
+	for r := range lp.ranks {
+		lp.ranks[r] = e.buildRankLocked(lp, r, execs[r], incArgs)
 	}
-
-	e.buildLocators(lp)
-	e.buildReadExchange(lp)
-	e.buildIncExchange(lp)
-
+	scheds := e.buildReadSchedules(lp.readSDs, func(r int, sd *localDat) []int32 {
+		return lp.ranks[r].imports[sd]
+	})
+	for r, rp := range lp.ranks {
+		rp.read = scheds[r]
+	}
 	e.plans[key] = lp
 	return lp, nil
 }
 
-// buildLocators fills the per-rank localized argument tables and
-// allocates the increment contribution buffers.
-func (e *Engine) buildLocators(lp *loopPlan) {
-	for _, rp := range lp.ranks {
-		r := rp.rank
-		n := len(rp.elems)
-		rp.loc = make([][]int32, len(lp.args))
-		rp.incBuf = make([][]float64, len(lp.incArgs))
-		rp.views = make([][]float64, len(lp.args))
-		for ai := range lp.args {
-			ap := &lp.args[ai]
-			switch ap.kind {
-			case argDirect:
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					t[i] = lp.itsp.local[el]
-				}
-				rp.loc[ai] = t
-			case argDirectRepl:
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					t[i] = el
-				}
-				rp.loc[ai] = t
-			case argIndirectRepl:
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					t[i] = int32(ap.m.At(int(el), ap.idx))
-				}
-				rp.loc[ai] = t
-			case argIndirect:
-				sp := ap.sd.sp
-				t := make([]int32, n)
-				for i, el := range rp.elems {
-					tgt := int32(ap.m.At(int(el), ap.idx))
-					if sp.owner[tgt] == int32(r) {
-						t[i] = sp.local[tgt]
-					} else {
-						t[i] = -sp.slotFor(r, tgt) - 1
-					}
-				}
-				rp.loc[ai] = t
-			case argInc:
-				rp.incBuf[ap.ia] = make([]float64, n*ap.dim)
-			}
+// buildRankLocked derives rank r's slice of a loop plan from the
+// elements it executes (in serial plan order): their local indices, the
+// halo values they read, the split into runs before and after the halo
+// gate, and the localized maps.
+//
+// An element reading a halo value runs after the gate. In an increment
+// loop that reorders contributions, so an element also runs after the
+// gate once any owned target it increments has a contributor there —
+// every owned target then takes its contributions before the gate
+// followed by those after it, each group in serial order, which is the
+// serial order itself.
+func (e *Engine) buildRankLocked(lp *loopPlan, r int, exec []int32, incArgs []int) *rankPlan {
+	l, itsp := lp.l, lp.itsp
+	rp := &rankPlan{nOwned: len(itsp.owned[r]), imports: map[*localDat][]int32{}}
+	needs := map[*localDat]map[int32]bool{}
+	tainted := map[*localDat][]bool{}
+	for _, i := range incArgs {
+		sd := lp.sds[i]
+		if tainted[sd] == nil {
+			tainted[sd] = make([]bool, len(sd.sp.owned[r]))
 		}
 	}
+	var early, late []int32
+	var targets []*bool // the current element's owned increment targets
+	for _, el := range exec {
+		li := itsp.localFor(r, el)
+		halo := false
+		for i, a := range l.Args {
+			sd := lp.sds[i]
+			if sd == nil {
+				continue
+			}
+			id := el
+			switch {
+			case a.Map() == nil && a.Acc() != core.Write:
+			case a.Map() != nil && a.Acc() == core.Read:
+				id = int32(a.Map().At(int(el), a.Idx()))
+			default:
+				continue
+			}
+			if sd.sp.owner[id] == int32(r) {
+				continue
+			}
+			halo = true
+			if needs[sd] == nil {
+				needs[sd] = map[int32]bool{}
+			}
+			needs[sd][id] = true
+		}
+		after := halo
+		targets = targets[:0]
+		for _, i := range incArgs {
+			a, sd := l.Args[i], lp.sds[i]
+			if t := int32(a.Map().At(int(el), a.Idx())); sd.sp.owner[t] == int32(r) {
+				mark := &tainted[sd][sd.sp.local[t]]
+				after = after || *mark
+				targets = append(targets, mark)
+			}
+		}
+		if after {
+			for _, mark := range targets {
+				*mark = true
+			}
+			late = append(late, li)
+		} else {
+			early = append(early, li)
+		}
+	}
+	for sd, set := range needs {
+		ids := make([]int32, 0, len(set))
+		for id := range set {
+			ids = append(ids, id)
+			sd.sp.localFor(r, id) // every rank's recv slots, hosted or not
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		rp.imports[sd] = ids
+	}
+	rp.runs = e.runsOf(early, rp.nOwned)
+	rp.nEarly = len(rp.runs)
+	rp.runs = append(rp.runs, e.runsOf(late, rp.nOwned)...)
+
+	if e.local < 0 || e.local == r {
+		rp.maps = map[*core.Map][]int32{}
+		n := itsp.nLocal(r)
+		for _, a := range l.Args {
+			m := a.Map()
+			if m == nil || rp.maps[m] != nil {
+				continue
+			}
+			tsp := e.sets[m.To()]
+			dim := m.Dim()
+			lm := make([]int32, n*dim)
+			for _, el := range exec {
+				li := int(itsp.localFor(r, el))
+				for k := 0; k < dim; k++ {
+					t := int32(m.At(int(el), k))
+					if tsp != nil {
+						t = tsp.localFor(r, t)
+					}
+					lm[li*dim+k] = t
+				}
+			}
+			rp.maps[m] = lm
+		}
+	}
+	for _, ld := range lp.dats {
+		if ld != nil {
+			rp.need = append(rp.need, growNeed{ld: ld, n: ld.sp.nLocal(r)})
+		}
+	}
+	return rp
 }
 
-// loopHaloIDs returns the halo ids of sd that rank r's locator tables
-// for lp reference, in ascending global id — the canonical per-(loop,
-// rank, dat) import need the exchange schedules are built from.
-func loopHaloIDs(lp *loopPlan, r int, sd *shardedDat) []int32 {
-	rp := lp.ranks[r]
-	need := map[int32]bool{}
-	for ai := range lp.args {
-		ap := &lp.args[ai]
-		if ap.kind != argIndirect || ap.sd != sd {
-			continue
-		}
-		for _, v := range rp.loc[ai] {
-			if v < 0 {
-				need[sd.sp.haloIDs[r][-v-1]] = true
+// runsOf groups the local indices idx, in order, into maximal runs of
+// consecutive indices that stay on one side of the owned/halo boundary
+// and span at most one block.
+func (e *Engine) runsOf(idx []int32, nOwned int) []execRun {
+	var runs []execRun
+	for _, li := range idx {
+		if k := len(runs) - 1; k >= 0 {
+			last := &runs[k]
+			if li == last.hi && li != int32(nOwned) && int(last.hi-last.lo) < e.blockSize {
+				last.hi++
+				continue
 			}
 		}
+		runs = append(runs, execRun{lo: li, hi: li + 1})
 	}
-	if len(need) == 0 {
-		return nil
-	}
-	ids := make([]int32, 0, len(need))
-	for id := range need {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return runs
 }
 
 // buildReadSchedules derives, for every rank, the exchange that delivers
@@ -563,7 +588,7 @@ func loopHaloIDs(lp *loopPlan, r int, sd *shardedDat) []int32 {
 // headers. needIDs(r, sd) returns the ascending halo ids rank r must
 // import for sd; dats are visited in list order, which fixes the layout
 // of multi-dat messages.
-func (e *Engine) buildReadSchedules(dats []*shardedDat, needIDs func(r int, sd *shardedDat) []int32) []*readSchedule {
+func (e *Engine) buildReadSchedules(dats []*localDat, needIDs func(r int, sd *localDat) []int32) []*readSchedule {
 	R := e.ranks
 	scheds := make([]*readSchedule, R)
 	for r := range scheds {
@@ -592,145 +617,18 @@ func (e *Engine) buildReadSchedules(dats []*shardedDat, needIDs func(r int, sd *
 				if len(group) == 0 {
 					continue
 				}
-				slots := make([]int32, len(group))
-				locals := make([]int32, len(group))
+				dst := make([]int32, len(group))
+				src := make([]int32, len(group))
 				for i, id := range group {
-					slots[i] = sp.haloSlot[r][id]
-					locals[i] = sp.local[id]
+					dst[i] = sp.localFor(r, id)
+					src[i] = sp.local[id]
 				}
-				scheds[r].recvFrom[s] = append(scheds[r].recvFrom[s], readRecvPart{sd: sd, slots: slots})
+				scheds[r].recvFrom[s] = append(scheds[r].recvFrom[s], readRecvPart{sd: sd, locals: dst})
 				scheds[r].recvLen[s] += len(group) * sd.d.Dim()
-				scheds[s].sendTo[r] = append(scheds[s].sendTo[r], readSendPart{sd: sd, locals: locals})
+				scheds[s].sendTo[r] = append(scheds[s].sendTo[r], readSendPart{sd: sd, locals: src})
 				scheds[s].sendLen[r] += len(group) * sd.d.Dim()
 			}
 		}
 	}
-	// Snapshot the halo growth each rank needs before it can scatter.
-	for r := 0; r < R; r++ {
-		seen := map[*shardedDat]bool{}
-		for _, sd := range dats {
-			if seen[sd] {
-				continue
-			}
-			seen[sd] = true
-			scheds[r].need = append(scheds[r].need, haloNeed{sd: sd, slots: len(sd.sp.haloIDs[r])})
-		}
-	}
 	return scheds
-}
-
-// buildReadExchange attaches each rank's solo read-halo schedule to the
-// loop plan: rank r imports exactly the halo ids its own locators
-// reference.
-func (e *Engine) buildReadExchange(lp *loopPlan) {
-	scheds := e.buildReadSchedules(lp.readSDs, func(r int, sd *shardedDat) []int32 {
-		return loopHaloIDs(lp, r, sd)
-	})
-	for _, rp := range lp.ranks {
-		rp.read = scheds[rp.rank]
-	}
-}
-
-// buildIncExchange derives the increment routing: which buffered
-// contributions each rank exports to which owner, and — on the owner —
-// the apply schedule that folds local and imported contributions into
-// the owned values in exactly the serial plan order.
-func (e *Engine) buildIncExchange(lp *loopPlan) {
-	R := e.ranks
-	nia := len(lp.incArgs)
-	for _, rp := range lp.ranks {
-		rp.incSendTo = make([][]incSendPart, R)
-		rp.incSendLen = make([]int, R)
-		rp.incRecvOff = make([][]int32, R)
-		rp.incRecvLen = make([]int, R)
-	}
-	if nia == 0 {
-		return
-	}
-	// Export lists per (source rank, owner rank, inc arg), in ascending
-	// global element id: the canonical message order both sides derive.
-	type key struct {
-		s, o, ia int
-	}
-	exports := map[key][]int32{}
-	for _, rp := range lp.ranks {
-		s := rp.rank
-		sorted := append([]int32(nil), rp.elems...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, ia := range lp.incArgs {
-			ap := &lp.args[ia]
-			sp := ap.sd.sp
-			for _, el := range sorted {
-				o := int(sp.owner[ap.m.At(int(el), ap.idx)])
-				if o != s {
-					k := key{s, o, ap.ia}
-					exports[k] = append(exports[k], el)
-				}
-			}
-		}
-	}
-	// Positions of exported elements within their (s,o,ia) stream.
-	expPos := map[key]map[int32]int32{}
-	for k, ids := range exports {
-		m := make(map[int32]int32, len(ids))
-		for i, el := range ids {
-			m[el] = int32(i)
-		}
-		expPos[k] = m
-	}
-	// Sender pack schedules and receiver segment offsets.
-	for _, rp := range lp.ranks {
-		s := rp.rank
-		for o := 0; o < R; o++ {
-			if o == s {
-				continue
-			}
-			off := int32(0)
-			var offs []int32
-			any := false
-			for ia := 0; ia < nia; ia++ {
-				ids := exports[key{s, o, ia}]
-				dim := lp.args[lp.incArgs[ia]].dim
-				offs = append(offs, off)
-				if len(ids) > 0 {
-					pos := make([]int32, len(ids))
-					for i, el := range ids {
-						pos[i] = lp.execPos[el]
-					}
-					rp.incSendTo[o] = append(rp.incSendTo[o], incSendPart{ia: ia, pos: pos})
-					off += int32(len(ids) * dim)
-					any = true
-				}
-			}
-			if any {
-				rp.incSendLen[o] = int(off)
-				orp := lp.ranks[o]
-				orp.incRecvOff[s] = offs
-				orp.incRecvLen[s] = int(off)
-			}
-		}
-	}
-	// Apply schedules: walk every element in serial plan order; each
-	// contribution targeting an owned element is folded in, whether it
-	// was computed locally or arrives in a message.
-	for _, el := range lp.foldOrder {
-		s := int(lp.itsp.owner[el])
-		for ia := 0; ia < nia; ia++ {
-			ap := &lp.args[lp.incArgs[ia]]
-			sp := ap.sd.sp
-			tgt := int32(ap.m.At(el, ap.idx))
-			o := int(sp.owner[tgt])
-			orp := lp.ranks[o]
-			var pos int32
-			if o == s {
-				pos = lp.execPos[el]
-			} else {
-				pos = expPos[key{s, o, ia}][int32(el)]
-			}
-			orp.apply.arg = append(orp.apply.arg, int32(ia))
-			orp.apply.target = append(orp.apply.target, sp.local[tgt])
-			orp.apply.src = append(orp.apply.src, int32(s))
-			orp.apply.pos = append(orp.apply.pos, pos)
-		}
-	}
 }

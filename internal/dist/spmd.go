@@ -14,10 +14,10 @@ import "fmt"
 // over a second logical wire channel (the control channel, kept apart
 // from halo traffic so the two never interleave on a pair's FIFO):
 //
-//   - reduction folds: each driver allgathers the per-rank reduction
-//     partials and folds ALL of them locally, in the same order on
-//     every process — global values stay bitwise-identical everywhere,
-//     so no broadcast root is needed;
+//   - reduction folds: rank 0 gathers the per-rank reduction partials,
+//     folds them in the in-process engine's order and broadcasts the
+//     result, which every process applies — global values stay
+//     bitwise-identical everywhere;
 //   - Dat flush (Sync): owned shards are allgathered so Data() is
 //     globally authoritative on every process;
 //   - scatter (Rescatter) needs no traffic at all: the host-side global
@@ -70,6 +70,15 @@ type PoolBinder interface {
 	BindBufferPool(get func(rank, n int) []float64, put func(rank int, b []float64))
 }
 
+// FrameReserver is implemented by transports that serialize outbound
+// payloads into pooled frames of their own: ReserveFrames grows that
+// pool to at least n frames able to carry a payload of floats values.
+// The engine reserves each step plan's outbound traffic when the plan
+// compiles, so the first step already draws every frame from the pool.
+type FrameReserver interface {
+	ReserveFrames(n, floats int)
+}
+
 // LocalRank reports the rank this process hosts in SPMD mode, or -1
 // when every rank is an in-process goroutine.
 func (e *Engine) LocalRank() int { return e.local }
@@ -82,68 +91,86 @@ func (e *Engine) TransportImpl() Transport { return e.tr.inner }
 // partialLen is the exact length of rank r's reduction partial for this
 // loop — derived from the shared plan, so sender and receiver agree
 // without negotiating (an elementwise partial holds one slot per
-// element rank r executes; a combinable one holds one accumulator).
+// element rank r owns; a combinable one holds one accumulator).
 func (lp *loopPlan) partialLen(r int) int {
 	if lp.gbl.size == 0 {
 		return 0
 	}
 	if lp.needElementwise {
-		return len(lp.ranks[r].elems) * lp.gbl.size
+		return lp.ranks[r].nOwned * lp.gbl.size
 	}
 	return lp.gbl.size
 }
 
-// gatherPartials allgathers one occurrence's reduction partials: the
-// local rank's partial goes to every peer (borrowed — the worker's
-// reduction scratch stays owned by the plan), and every peer's partial
-// is received into bufs[src] in ascending rank order. Received buffers
-// are drawn from the engine's pools through the transport's pool
-// binding; releasePartials returns them after the fold.
-func (e *Engine) gatherPartials(sub *submission, o int, lp *loopPlan, bufs [][]float64) error {
+// reduceSPMD folds one occurrence's reductions across the processes:
+// every rank sends its partial to rank 0 (borrowed — the worker's
+// reduction scratch stays owned by the plan), rank 0 folds them all in
+// the serial order of the in-process engine and broadcasts the folded
+// accumulator, and every process applies that same accumulator, so
+// global values stay bitwise-identical everywhere. Each partial crosses
+// the wire once. Received buffers are drawn from the engine's pools
+// through the transport's pool binding and returned once consumed.
+func (e *Engine) reduceSPMD(sub *submission, o int, lp *loopPlan, bufs [][]float64) error {
 	r := e.local
+	clear(bufs)
+	defer func() {
+		for src, b := range bufs {
+			if src != r && b != nil {
+				e.putBuf(src, b)
+				bufs[src] = nil
+			}
+		}
+	}()
 	bufs[r] = sub.dones[r].bufs[o]
-	for dst := 0; dst < e.ranks; dst++ {
-		if dst == r || lp.partialLen(r) == 0 {
-			continue
+	if r != 0 {
+		if lp.partialLen(r) > 0 {
+			if err := e.ctl.SendCtl(r, 0, bufs[r]); err != nil {
+				return fmt.Errorf("dist: step %q reduction partial send %d→0: %w", sub.sp.name, r, err)
+			}
 		}
-		if err := e.ctl.SendCtl(r, dst, bufs[r]); err != nil {
-			return fmt.Errorf("dist: step %q reduction gather send %d→%d: %w", sub.sp.name, r, dst, err)
-		}
-	}
-	for src := 0; src < e.ranks; src++ {
-		if src == r {
-			continue
-		}
-		want := lp.partialLen(src)
-		if want == 0 {
-			bufs[src] = nil
-			continue
-		}
-		fut := e.ctl.RecvCtl(r, src)
-		msg, err := fut.Get()
+		acc, err := e.recvCtl(sub, 0, lp.gbl.size, "reduction result")
 		if err != nil {
-			return fmt.Errorf("dist: step %q reduction gather recv %d←%d: %w", sub.sp.name, r, src, err)
+			return err
 		}
-		if len(msg) != want {
-			return fmt.Errorf("dist: step %q reduction partial from rank %d: got %d floats, want %d: %w",
-				sub.sp.name, src, len(msg), want, ErrHaloCorrupt)
-		}
-		bufs[src] = msg
-		fut.Release()
+		bufs[0] = acc
+		lp.applyAcc(acc)
+		return nil
 	}
+	for src := 1; src < e.ranks; src++ {
+		if want := lp.partialLen(src); want > 0 {
+			msg, err := e.recvCtl(sub, src, want, "reduction partial")
+			if err != nil {
+				return err
+			}
+			bufs[src] = msg
+		}
+	}
+	acc := e.foldReductions(lp, bufs)
+	for dst := 1; dst < e.ranks; dst++ {
+		if err := e.ctl.SendCtl(0, dst, acc); err != nil {
+			return fmt.Errorf("dist: step %q reduction result send 0→%d: %w", sub.sp.name, dst, err)
+		}
+	}
+	lp.applyAcc(acc)
 	return nil
 }
 
-// releasePartials returns the gathered remote partials to their source
-// pools once the fold has consumed them.
-func (e *Engine) releasePartials(bufs [][]float64) {
-	for src := range bufs {
-		if src == e.local || bufs[src] == nil {
-			continue
-		}
-		e.putBuf(src, bufs[src])
-		bufs[src] = nil
+// recvCtl receives the next control message from src and checks it
+// carries want floats.
+func (e *Engine) recvCtl(sub *submission, src, want int, what string) ([]float64, error) {
+	r := e.local
+	fut := e.ctl.RecvCtl(r, src)
+	msg, err := fut.Get()
+	if err != nil {
+		return nil, fmt.Errorf("dist: step %q %s recv %d←%d: %w", sub.sp.name, what, r, src, err)
 	}
+	fut.Release()
+	if len(msg) != want {
+		e.putBuf(src, msg)
+		return nil, fmt.Errorf("dist: step %q %s from rank %d: got %d floats, want %d: %w",
+			sub.sp.name, what, src, len(msg), want, ErrHaloCorrupt)
+	}
+	return msg, nil
 }
 
 // gatherFlush allgathers a sharded dat's owned blocks so the host-side
@@ -151,9 +178,9 @@ func (e *Engine) releasePartials(bufs [][]float64) {
 // since the exchange is symmetric and the shards deterministic,
 // identical on every process). Pairs whose shard is empty are skipped
 // on both sides by the same ownership-derived rule.
-func (e *Engine) gatherFlush(sd *shardedDat) error {
+func (e *Engine) gatherFlush(sd *localDat) error {
 	r := e.local
-	own := sd.owned[r]
+	own := sd.vals[r][:len(sd.sp.owned[r])*sd.d.Dim()]
 	for dst := 0; dst < e.ranks; dst++ {
 		if dst == r || len(own) == 0 {
 			continue
@@ -166,7 +193,7 @@ func (e *Engine) gatherFlush(sd *shardedDat) error {
 		if src == r {
 			continue
 		}
-		want := len(sd.owned[src])
+		want := len(sd.sp.owned[src]) * sd.d.Dim()
 		if want == 0 {
 			continue
 		}
@@ -179,7 +206,7 @@ func (e *Engine) gatherFlush(sd *shardedDat) error {
 			return fmt.Errorf("dist: flush %q shard from rank %d: got %d floats, want %d: %w",
 				sd.d.Name(), src, len(msg), want, ErrHaloCorrupt)
 		}
-		copy(sd.owned[src], msg)
+		copy(sd.vals[src], msg)
 		e.putBuf(src, msg)
 		fut.Release()
 	}

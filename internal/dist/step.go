@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"sort"
 	"strings"
 
 	"op2hpx/internal/core"
@@ -14,15 +15,12 @@ import (
 //     same dat's halo with no intervening write share one exchange,
 //     posted by the first importer (the group leader) and sized to the
 //     union of the group's needs, and
-//   - deferred increment application: a loop's increment exchange stays
-//     in flight (and its owner-side apply pending) while later loops
-//     that do not observe the incremented dat execute their interiors;
-//     the apply resolves, in submission order, right before the first
-//     loop that reads or overwrites the dat.
+//   - hoisted posting: a leader's exchange posts as soon as the last
+//     earlier writer of its dats has run, so the messages travel while
+//     the loops in between compute.
 //
 // Single loops are one-loop steps: their leader schedule is the loop's
-// own and their apply resolves at the end of the step, which is exactly
-// the loop-at-a-time behaviour.
+// own, which is exactly the loop-at-a-time behaviour.
 type stepPlan struct {
 	key   string
 	name  string
@@ -31,33 +29,27 @@ type stepPlan struct {
 
 	// Per-global gating (see Engine.gateLocked): a submission of this
 	// plan waits only for the submissions whose driver-side folds it can
-	// actually race — the last reducer of each global it reads, and its
-	// own previous submission when it reduces (the per-rank reduction
-	// buffers below are reused across invocations). Steps over disjoint
+	// actually race — the last reducer of each global it reads, and, when
+	// it reduces, its own submission before last (alternate submissions
+	// use alternate per-rank reduction buffers). Steps over disjoint
 	// globals therefore pipeline freely instead of gating on the engine
 	// tail.
 	gblReads   []*core.Global // globals any member reads, deduped
 	gblReduces []*core.Global // globals any member reduces, deduped
-	lastSub    gateRef        // this plan's last reducing submission (engine lock)
-
-	// incDue[o] is the occurrence index before which occurrence o's
-	// pending increment apply must resolve: the first later occurrence
-	// that observes or overwrites an incremented dat's owned values (or
-	// reuses the same plan's increment buffers); len(loops) when nothing
-	// in the step does, so the apply drains at step end.
-	incDue []int
+	subs       uint64         // submissions so far; parity picks the buffer set (engine lock)
+	lastSub    [2]gateRef     // last reducing submission per buffer set (engine lock)
 
 	// hoistAt[o] is the occurrence at whose START occurrence o's leader
 	// read-halo exchange posts: o itself when the exchange cannot move
 	// (or o leads nothing), or the earliest occurrence by which every
 	// dat of the union has its final owned values — after the last
-	// direct writer's execution and the last increment writer's deferred
-	// apply (incDue). hoisted[h] lists the leaders L > h whose exchange
-	// posts at the start of occurrence h, in ascending L, so every rank
-	// posts the same per-pair message sequence. Hoisting moves posting
-	// only: the leader still waits (and scatters) at its own occurrence,
-	// and the message count is untouched — a union schedule moves as one
-	// message per pair, pinned at the max readiness of its dats.
+	// writer's execution. hoisted[h] lists the leaders L > h whose
+	// exchange posts at the start of occurrence h, in ascending L, so
+	// every rank posts the same per-pair message sequence. Hoisting
+	// moves posting only: the leader still waits (and scatters) at its
+	// own occurrence, and the message count is untouched — a union
+	// schedule moves as one message per pair, pinned at the max
+	// readiness of its dats.
 	hoistAt []int
 	hoisted [][]int
 
@@ -72,16 +64,27 @@ type stepRank struct {
 	// the time they run — the worker executes occurrences in order) and
 	// for occurrences with nothing to import.
 	readPost []*readSchedule
-	// redBuf[o] is occurrence o's reduction scratch, lazily sized and
-	// reused across step invocations. Reuse is race-free because a
-	// reducing step gates on its own previous submission's future, which
+	// grow is the storage the step's bound arrays index (the per-dat max
+	// of the member loops' needs); refresh lists the replicated copies
+	// the step reads, with the global id of each local index.
+	grow    []growNeed
+	refresh []copyRefresh
+	// redBuf[p][o] is occurrence o's reduction scratch in buffer set p
+	// (the submission's parity), lazily sized and reused by every other
+	// invocation. Reuse is race-free because a reducing step gates on
+	// the future of the submission that last used its set, which
 	// resolves only after the driver folded that invocation's buffers.
-	redBuf [][]float64
-	// redOut is the per-occurrence buffer list a worker reports to the
-	// driver, reused across invocations: entries are only read by the
-	// driver for occurrences with globals, whose steps gate on their
-	// plan's previous submission.
-	redOut [][]float64
+	redBuf [2][][]float64
+	// redOut[p] is the per-occurrence buffer list a worker reports to
+	// the driver, reused under the same gating.
+	redOut [2][][]float64
+}
+
+// copyRefresh is one replicated copy a step refreshes on one rank: local
+// index l takes the global array's element ids[l].
+type copyRefresh struct {
+	ld  *localDat
+	ids []int32
 }
 
 // stepKey identifies a step plan structurally: the concatenated
@@ -169,9 +172,9 @@ func (e *Engine) stepPlanLocked(name string, loops []*core.Loop) (*stepPlan, err
 		}
 	}
 	// Sharding pre-pass over the whole step: a dat any member writes
-	// must be in owned+halo storage before any member's locator tables
-	// are built, or an earlier loop's plan would read the (soon stale)
-	// replicated array.
+	// must be in owned+halo storage before any member's plan is built,
+	// or an earlier loop's plan would read the (soon stale) replicated
+	// array.
 	for _, l := range loops {
 		if err := e.prepareLoopLocked(l); err != nil {
 			return nil, err
@@ -186,71 +189,44 @@ func (e *Engine) stepPlanLocked(name string, loops []*core.Loop) (*stepPlan, err
 		lps[i] = lp
 	}
 	sp := e.buildStepLocked(key, name, lps)
+	e.reserveLocked(sp)
 	e.steps[key] = sp
 	return sp, nil
 }
 
-// observesOwned reports whether lp accesses sd's owned values other than
-// through buffered increments: directly (any access) or as an indirect
-// read (which snapshots them into halos). Such an access must see every
-// earlier increment applied.
-func observesOwned(lp *loopPlan, dats map[*shardedDat]bool) bool {
-	for i := range lp.args {
-		ap := &lp.args[i]
-		switch ap.kind {
-		case argDirect, argIndirect:
-			if dats[ap.sd] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // writesDat reports whether lp invalidates sd's exchanged halo values:
-// a direct write/RW of the dat or a buffered increment (applied by the
-// owner before the next exchange).
-func writesDat(lp *loopPlan, sd *shardedDat) bool {
-	for i := range lp.args {
-		ap := &lp.args[i]
-		if ap.sd != sd {
-			continue
-		}
-		switch ap.kind {
-		case argInc:
+// any non-read access (a direct write, or an increment, which also
+// leaves discarded contributions in halo slots).
+func writesDat(lp *loopPlan, sd *localDat) bool {
+	for i, a := range lp.l.Args {
+		if lp.sds[i] == sd && a.Acc() != core.Read {
 			return true
-		case argDirect:
-			if lp.l.Args[i].Acc() != core.Read {
-				return true
-			}
 		}
 	}
 	return false
 }
 
 // buildStepLocked derives the step's cross-loop schedules from the
-// per-loop plans: coalescing groups for the read exchanges and the due
-// points of deferred increment applies.
+// per-loop plans: coalescing groups and post points of the read
+// exchanges, and each rank's storage upkeep.
 func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 	n := len(lps)
-	sp := &stepPlan{key: key, name: name, loops: lps, incDue: make([]int, n)}
+	sp := &stepPlan{key: key, name: name, loops: lps}
 	seenRepl := map[*core.Dat]bool{}
 	seenRead := map[*core.Global]bool{}
 	seenRed := map[*core.Global]bool{}
 	for _, lp := range lps {
-		for i := range lp.args {
-			ap := &lp.args[i]
-			switch ap.kind {
-			case argGblRead:
-				if !seenRead[ap.g] {
-					seenRead[ap.g] = true
-					sp.gblReads = append(sp.gblReads, ap.g)
-				}
-			case argGblReduce:
-				if !seenRed[ap.g] {
-					seenRed[ap.g] = true
-					sp.gblReduces = append(sp.gblReduces, ap.g)
-				}
+		for _, a := range lp.l.Args {
+			if !a.IsGlobal() {
+				continue
+			}
+			seen, list := seenRed, &sp.gblReduces
+			if a.Acc() == core.Read {
+				seen, list = seenRead, &sp.gblReads
+			}
+			if g := a.Global(); !seen[g] {
+				seen[g] = true
+				*list = append(*list, g)
 			}
 		}
 		for _, d := range lp.repl {
@@ -264,9 +240,9 @@ func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 	// Coalescing groups: walk the occurrences; the first importer of a
 	// dat's halo after a write (or ever) leads a group that every later
 	// importer joins until the next write to the dat.
-	cur := map[*shardedDat]int{}                // dat → open group's leader occurrence
-	ledDats := make([][]*shardedDat, n)         // leader occurrence → dats it posts, in first-use order
-	members := make([]map[*shardedDat][]int, n) // leader occurrence → dat → member occurrences
+	cur := map[*localDat]int{}                // dat → open group's leader occurrence
+	ledDats := make([][]*localDat, n)         // leader occurrence → dats it posts, in first-use order
+	members := make([]map[*localDat][]int, n) // leader occurrence → dat → member occurrences
 	for o, lp := range lps {
 		for _, sd := range lp.readSDs {
 			L, open := cur[sd]
@@ -274,7 +250,7 @@ func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 				L = o
 				cur[sd] = o
 				if members[L] == nil {
-					members[L] = map[*shardedDat][]int{}
+					members[L] = map[*localDat][]int{}
 				}
 				ledDats[L] = append(ledDats[L], sd)
 			}
@@ -287,33 +263,35 @@ func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 		}
 	}
 
-	// Deferred-apply due points.
-	for o, lp := range lps {
-		sp.incDue[o] = n
-		if len(lp.incArgs) == 0 {
-			continue
-		}
-		incd := map[*shardedDat]bool{}
-		for _, ia := range lp.incArgs {
-			incd[lp.args[ia].sd] = true
-		}
-		for j := o + 1; j < n; j++ {
-			// The same plan's increment buffers are cleared when it runs
-			// again, so an earlier occurrence's apply must resolve first.
-			if lps[j] == lp || observesOwned(lps[j], incd) {
-				sp.incDue[o] = j
-				break
-			}
-		}
-	}
-
 	sp.ranks = make([]*stepRank, e.ranks)
 	for r := range sp.ranks {
-		sp.ranks[r] = &stepRank{
+		sr := &stepRank{
 			readPost: make([]*readSchedule, n),
-			redBuf:   make([][]float64, n),
-			redOut:   make([][]float64, n),
+			redBuf:   [2][][]float64{make([][]float64, n), make([][]float64, n)},
+			redOut:   [2][][]float64{make([][]float64, n), make([][]float64, n)},
 		}
+		at := map[*localDat]int{}
+		for _, lp := range lps {
+			for _, g := range lp.ranks[r].need {
+				if i, ok := at[g.ld]; ok {
+					sr.grow[i].n = max(sr.grow[i].n, g.n)
+					continue
+				}
+				at[g.ld] = len(sr.grow)
+				sr.grow = append(sr.grow, g)
+			}
+		}
+		for _, g := range sr.grow {
+			if g.ld.sharded {
+				continue
+			}
+			ids := make([]int32, g.n)
+			owned := g.ld.sp.owned[r]
+			copy(ids, owned)
+			copy(ids[len(owned):], g.ld.sp.haloIDs[r])
+			sr.refresh = append(sr.refresh, copyRefresh{ld: g.ld, ids: ids})
+		}
+		sp.ranks[r] = sr
 	}
 	for L, dats := range ledDats {
 		if len(dats) == 0 {
@@ -327,7 +305,7 @@ func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 				scheds[r] = lps[0].ranks[r].read
 			}
 		} else {
-			scheds = e.buildReadSchedules(dats, func(r int, sd *shardedDat) []int32 {
+			scheds = e.buildReadSchedules(dats, func(r int, sd *localDat) []int32 {
 				return unionHaloIDs(lps, members[L][sd], r, sd)
 			})
 		}
@@ -341,16 +319,85 @@ func (e *Engine) buildStepLocked(key, name string, lps []*loopPlan) *stepPlan {
 	return sp
 }
 
+// pipelineDepth is how many submissions' worth of one rank's messages
+// can be in flight at once. A rank cannot finish a step before its peers
+// have posted that step's messages to it, so with exchanges running both
+// ways — as a mesh halo's do — a sender runs at most one step ahead of
+// the receiver consuming its messages: two steps' worth. The third
+// covers the lag of a buffer's return behind its consumption (a TCP
+// writer puts a frame back after the peer may already have read it),
+// and reduction messages, whose driver fold may trail its worker by the
+// two submissions the double-buffered reduction scratch allows.
+const pipelineDepth = 3
+
+// reserveLocked pre-fills the pools a step's traffic draws from —
+// pipelineDepth times the buffers one submission uses — so the plan's
+// first step already finds every buffer pooled. Pool r serves rank r's
+// halo sends; a process hosting one rank (SPMD) also pools its inbound
+// halo messages and reduction messages per source, and a transport that
+// frames payloads (FrameReserver) its outbound frames.
+func (e *Engine) reserveLocked(sp *stepPlan) {
+	R := e.ranks
+	bufs := make([][]int, R) // per pool: the buffer sizes of one submission
+	var frames []int         // outbound frame payloads of the hosted rank, in floats
+	for o, lp := range sp.loops {
+		for r := 0; r < R; r++ {
+			if e.local >= 0 && r != e.local {
+				continue
+			}
+			if sched := sp.ranks[r].readPost[o]; sched != nil {
+				for peer := 0; peer < R; peer++ {
+					if n := sched.sendLen[peer]; n > 0 {
+						bufs[r] = append(bufs[r], n+1)
+						frames = append(frames, n+1)
+					}
+					if n := sched.recvLen[peer]; n > 0 && e.local >= 0 {
+						bufs[peer] = append(bufs[peer], n+1)
+					}
+				}
+			}
+			if e.local < 0 || lp.gbl.size == 0 {
+				continue
+			}
+			// reduceSPMD: partials travel to rank 0, the result back.
+			if r != 0 {
+				frames = append(frames, lp.partialLen(r))
+				bufs[0] = append(bufs[0], lp.gbl.size)
+				continue
+			}
+			for peer := 1; peer < R; peer++ {
+				bufs[peer] = append(bufs[peer], lp.partialLen(peer))
+				frames = append(frames, lp.gbl.size)
+			}
+		}
+	}
+	for r, sizes := range bufs {
+		reserveSizes(sizes, func(n, size int) { e.bufs[r].Reserve(n, size) })
+	}
+	if fr, ok := e.tr.inner.(FrameReserver); ok {
+		reserveSizes(frames, fr.ReserveFrames)
+	}
+}
+
+// reserveSizes reserves pipelineDepth buffers per entry of sizes: at
+// every size threshold, as many buffers at least that large as entries
+// need, so any mix of them in flight at once fits.
+func reserveSizes(sizes []int, reserve func(n, size int)) {
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	for i, size := range sizes {
+		reserve(pipelineDepth*(i+1), size)
+	}
+}
+
 // buildHoists computes each leader's exchange post point: the earliest
 // occurrence by which every dat of its union schedule holds final owned
-// values on every rank. A direct writer's values are final once its
-// occurrence has executed (j+1); an increment writer's once its deferred
-// apply has resolved, which the worker guarantees by the start of
-// occurrence incDue[j]. The post point is the max over the union's dats
-// — the whole coalesced message moves together, so the message count
-// (and the per-pair FIFO order, which every rank derives from this same
-// plan) is unchanged; only the overlap window grows.
-func (sp *stepPlan) buildHoists(ledDats [][]*shardedDat) {
+// values on every rank, i.e. right after the last earlier occurrence
+// writing one of them (increments included: they complete in place
+// within their occurrence). The post point is the max over the union's
+// dats — the whole coalesced message moves together, so the message
+// count (and the per-pair FIFO order, which every rank derives from this
+// same plan) is unchanged; only the overlap window grows.
+func (sp *stepPlan) buildHoists(ledDats [][]*localDat) {
 	n := len(sp.loops)
 	sp.hoistAt = make([]int, n)
 	sp.hoisted = make([][]int, n)
@@ -364,22 +411,8 @@ func (sp *stepPlan) buildHoists(ledDats [][]*shardedDat) {
 		h := 0
 		for _, sd := range dats {
 			for j := 0; j < L; j++ {
-				lp := sp.loops[j]
-				for i := range lp.args {
-					ap := &lp.args[i]
-					if ap.sd != sd {
-						continue
-					}
-					switch ap.kind {
-					case argInc:
-						if sp.incDue[j] > h {
-							h = sp.incDue[j]
-						}
-					case argDirect:
-						if lp.l.Args[i].Acc() != core.Read && j+1 > h {
-							h = j + 1
-						}
-					}
+				if writesDat(sp.loops[j], sd) && j+1 > h {
+					h = j + 1
 				}
 			}
 		}
@@ -392,25 +425,20 @@ func (sp *stepPlan) buildHoists(ledDats [][]*shardedDat) {
 
 // unionHaloIDs merges the ascending halo-id needs of the given
 // occurrences for one dat on one rank.
-func unionHaloIDs(lps []*loopPlan, occs []int, r int, sd *shardedDat) []int32 {
+func unionHaloIDs(lps []*loopPlan, occs []int, r int, sd *localDat) []int32 {
 	if len(occs) == 1 {
-		return loopHaloIDs(lps[occs[0]], r, sd)
+		return lps[occs[0]].ranks[r].imports[sd]
 	}
 	need := map[int32]bool{}
 	var ids []int32
 	for _, o := range occs {
-		for _, id := range loopHaloIDs(lps[o], r, sd) {
+		for _, id := range lps[o].ranks[r].imports[sd] {
 			if !need[id] {
 				need[id] = true
 				ids = append(ids, id)
 			}
 		}
 	}
-	// Each per-occurrence list is ascending; the union must be too.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }

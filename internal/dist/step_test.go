@@ -167,12 +167,12 @@ func TestStepCoalescesSharedHalo(t *testing.T) {
 	}
 }
 
-// TestStepNonMonotonicApplyDues pins the pending-apply drain against
-// out-of-due-order queues: increments to DIFFERENT dats can come due in
-// the opposite order they were queued (spread's res apply is due at
-// step end, while the later incY's y apply is due before scaleY reads
-// y). A head-of-line-only drain would leave incY's increments unapplied
-// when scaleY runs — silently wrong results.
+// TestStepNonMonotonicApplyDues pins increments to DIFFERENT dats
+// observed in the opposite order they were made: spread increments res
+// (read by nobody in the step), the later incY increments y, which
+// scaleY then rewrites. Every increment must have landed on its owner
+// by the time a later loop reads the dat, or the result is silently
+// wrong.
 func TestStepNonMonotonicApplyDues(t *testing.T) {
 	const n, ranks = 40, 3
 	build := func() (*stepRing, *core.Loop) {
@@ -205,7 +205,6 @@ func TestStepNonMonotonicApplyDues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	// pending after incY: [spread(due=end), incY(due=2)] — non-monotonic.
 	if err := e.RunStep(context.Background(), "nonmono", []*core.Loop{s.spread, incY, s.scaleY}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestStepNonMonotonicApplyDues(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		if math.Float64bits(s.y.Data()[i]) != math.Float64bits(ref.y.Data()[i]) {
-			t.Fatalf("y[%d] = %g, serial %g: incY's apply did not resolve before scaleY", i, s.y.Data()[i], ref.y.Data()[i])
+			t.Fatalf("y[%d] = %g, serial %g: incY's increments had not landed before scaleY", i, s.y.Data()[i], ref.y.Data()[i])
 		}
 		if math.Float64bits(s.res.Data()[i]) != math.Float64bits(ref.res.Data()[i]) {
 			t.Fatalf("res[%d] differs from serial", i)
@@ -352,34 +351,28 @@ func TestStepWriteSplitsCoalescingGroup(t *testing.T) {
 	}
 }
 
-// TestStepIncExchangeOverlapsNextInterior is the overlap-depth proof:
-// loop N's increment exchange stays in flight while loop N+1's interior
-// executes, because N+1 does not touch the incremented dat. The
+// TestStepIncExchangeOverlapsNextInterior pins that increments never
+// wait on the wire: spread increments res through the map, and every
+// rank applies all contributions to its owned targets in place by
+// executing its exec halo, so the step sends no message at all. The
 // transport refuses to deliver ANY message until every rank has executed
-// an interior chunk of the SECOND loop; if the engine still waited for
-// loop N's increment messages before moving on (the pre-Step behaviour),
-// the run would deadlock.
+// an interior run of the SECOND loop; an engine that still exchanged
+// spread's increments before moving on would deadlock.
 func TestStepIncExchangeOverlapsNextInterior(t *testing.T) {
 	const n, ranks = 64, 2
 	s := newStepRing(t, n)
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	nextSeen := map[int]bool{}
-	applyEarly := false
 	opened := false
 	trace := func(loop string, rank int, phase string) {
 		mu.Lock()
 		defer mu.Unlock()
-		switch {
-		case loop == "scaleY" && phase == "interior":
+		if loop == "scaleY" && phase == "interior" {
 			nextSeen[rank] = true
 			if len(nextSeen) == ranks && !opened {
 				opened = true
 				close(gate)
-			}
-		case loop == "spread" && phase == "apply":
-			if !opened {
-				applyEarly = true
 			}
 		}
 	}
@@ -404,12 +397,12 @@ func TestStepIncExchangeOverlapsNextInterior(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: the engine waited for loop N's increment exchange before executing loop N+1's interior")
+		t.Fatal("deadlock: the engine waited for an increment exchange before executing the next loop's interior")
 	}
-	if applyEarly {
-		t.Fatal("spread's increments were applied before its messages were deliverable")
+	if sent := e.MessagesSent(); sent != 0 {
+		t.Fatalf("the increment-only step sent %d messages, want 0", sent)
 	}
-	// Bitwise correctness of the deferred apply against serial.
+	// Bitwise correctness of the in-place increments against serial.
 	ref := newStepRing(t, n)
 	ex := core.NewExecutor(core.Config{Backend: core.Serial, BlockSize: 8})
 	if err := ex.Run(ref.spread); err != nil {
@@ -425,7 +418,7 @@ func TestStepIncExchangeOverlapsNextInterior(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		if math.Float64bits(s.res.Data()[i]) != math.Float64bits(ref.res.Data()[i]) {
-			t.Fatalf("res[%d] differs from serial after overlapped apply", i)
+			t.Fatalf("res[%d] differs from serial", i)
 		}
 		if math.Float64bits(s.y.Data()[i]) != math.Float64bits(ref.y.Data()[i]) {
 			t.Fatalf("y[%d] differs from serial", i)

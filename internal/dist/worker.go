@@ -12,7 +12,7 @@ import (
 
 // task is one step posted to a rank worker: a pointer into the owning
 // submission's per-rank task array. The worker reads the step plan,
-// kernel snapshot and gate from the submission and reports completion
+// loop snapshot and gate from the submission and reports completion
 // through its rank's done slot — all pooled, recycled by the
 // submission's driver once every rank has resolved.
 type task struct {
@@ -20,26 +20,11 @@ type task struct {
 	rank int
 }
 
-// pendingApply is a deferred increment application: occurrence o's
-// exchange futures stay in flight while later occurrences that do not
-// observe the incremented dats execute; the apply resolves at the start
-// of occurrence due (or at step end). Pending applies resolve in
-// submission order, which preserves the serial interleaving of applies
-// to a shared dat. The futures live in the worker's per-occurrence
-// scratch slots (w.incFuts[o]); only the metadata travels here.
-type pendingApply struct {
-	due int
-	o   int
-	lp  *loopPlan
-	err error // the occurrence's error: drain the futures, skip the apply
-}
-
 // worker is one persistent rank: a long-lived goroutine draining a
 // mailbox of step tasks in submission order. There is no fork/join per
 // step — a rank that finished step N moves straight on to step N+1. All
-// per-step execution scratch (argument views live on the rank plans;
-// everything occurrence-indexed lives here) is reused across steps, so
-// steady-state timesteps allocate neither scratch nor message buffers.
+// per-step execution scratch is reused across steps, so steady-state
+// timesteps allocate neither scratch nor message buffers.
 type worker struct {
 	rank int
 	eng  *Engine
@@ -49,15 +34,11 @@ type worker struct {
 	// holds the read-halo receive futures the exchange posted at slot o
 	// consumes at occurrence o (for a hoisted exchange the posting
 	// happens earlier than o, which is exactly why the futures are
-	// slot-indexed rather than local to execOcc); incFuts[o] holds
-	// occurrence o's increment receives until its deferred apply.
+	// slot-indexed rather than local to execOcc).
 	readFuts [][]RecvFuture
 	readSrcs [][]int
 	readSeqs [][]uint64
 	readErr  []error
-	incFuts  [][]RecvFuture
-	incSrcs  [][]int
-	incSeqs  [][]uint64
 
 	// Frame-sequence counters, one per peer rank. Every message this
 	// rank sends to dst carries tag ++sendSeq[dst] as its first float;
@@ -65,15 +46,16 @@ type worker struct {
 	// Per-pair FIFO delivery makes the tags line up, so a duplicated,
 	// truncated or reordered message is detected as ErrHaloCorrupt at
 	// consume time instead of silently corrupting halo slots. The
-	// expected tag is recorded at Recv-post time (readSeqs/incSeqs):
-	// consume order differs from post order when increment applies are
-	// deferred past later loops' read exchanges.
+	// expected tag is recorded at Recv-post time (readSeqs): a hoisted
+	// exchange is consumed later than it is posted.
 	sendSeq []uint64
 	recvSeq []uint64
 
-	pending []pendingApply
+	// epoch counts reallocations of this rank's storage: bodies bound
+	// under an older epoch index stale arrays and are rebound.
+	epoch   uint64
+	discard []float64 // reduction scratch of exec-halo runs, never folded
 	ws      []hpx.Waiter
-	incMsgs [][]float64
 }
 
 func (w *worker) run() {
@@ -103,26 +85,22 @@ func (w *worker) growOcc(n int) {
 		w.readSrcs = append(w.readSrcs, nil)
 		w.readSeqs = append(w.readSeqs, nil)
 		w.readErr = append(w.readErr, nil)
-		w.incFuts = append(w.incFuts, nil)
-		w.incSrcs = append(w.incSrcs, nil)
-		w.incSeqs = append(w.incSeqs, nil)
 	}
 }
 
-// execStep runs one step on this rank: its occurrences in order, with
-// pending increment applies resolved at their due points and hoisted
-// read-halo exchanges posted as soon as their producing occurrences have
-// completed (sp.hoisted). The message protocol (sends and receives)
-// always runs to completion — even when computation is skipped because
-// of cancellation, a kernel panic or an upstream failure — so every
-// pair's FIFO channel stays aligned for the steps that follow; skipped
-// computation just exports zero contributions.
+// execStep runs one step on this rank: storage upkeep, then its
+// occurrences in order, with hoisted read-halo exchanges posted as soon
+// as their producing occurrences have completed (sp.hoisted). The
+// message protocol (sends and receives) always runs to completion —
+// even when computation is skipped because of cancellation, a kernel
+// panic or an upstream failure — so every pair's FIFO channel stays
+// aligned for the steps that follow.
 func (w *worker) execStep(t *task) ([][]float64, error) {
 	sp := t.sub.sp
 	sr := sp.ranks[w.rank]
 	nOcc := len(sp.loops)
 	w.growOcc(nOcc)
-	redBufs := sr.redOut
+	redBufs := sr.redOut[t.sub.parity]
 	var firstErr error
 	fail := func(e error) {
 		if firstErr == nil && e != nil {
@@ -145,28 +123,11 @@ func (w *worker) execStep(t *task) ([][]float64, error) {
 		// its own errors.
 	}
 
-	pending := w.pending[:0]
+	w.upkeep(sr)
 	for o := 0; o < nOcc; o++ {
-		// Resolve every pending apply due at or before this occurrence.
-		// Dues are monotonic only per dat, so a later-queued apply can
-		// come due before the queue head (different dats); resolve the
-		// whole prefix up to the last due entry, in submission order —
-		// resolving an apply earlier than its due is always safe, it
-		// only shrinks that exchange's overlap window.
-		cut := 0
-		for i := range pending {
-			if pending[i].due <= o {
-				cut = i + 1
-			}
-		}
-		for i := 0; i < cut; i++ {
-			fail(w.resolveApply(t, &pending[i]))
-		}
-		pending = pending[:copy(pending, pending[cut:])]
 		// Post the hoisted read-halo exchanges of later leaders whose
-		// producing occurrences (direct writers executed, increment
-		// applies resolved) are now complete: the messages travel while
-		// the occurrences in between compute.
+		// producing occurrences are now complete: the messages travel
+		// while the occurrences in between compute.
 		for _, L := range sp.hoisted[o] {
 			if sched := sr.readPost[L]; sched != nil {
 				var phStart time.Time
@@ -179,32 +140,40 @@ func (w *worker) execStep(t *task) ([][]float64, error) {
 				}
 			}
 		}
-		occErr := w.execOcc(t, o, gateErr, &redBufs[o], &pending)
-		fail(occErr)
+		fail(w.execOcc(t, o, gateErr, &redBufs[o]))
 	}
-	for i := range pending {
-		fail(w.resolveApply(t, &pending[i]))
-	}
-	w.pending = pending[:0]
 	return redBufs, firstErr
 }
 
-// postRead posts one read-halo exchange on this rank: grow the halo
-// storage the scatter will need, pack and send the owned values per
-// destination from pooled message buffers, and post the receive futures
-// into the slot's scratch. Errors latch into w.readErr[slot] and surface
-// when the consuming occurrence waits.
+// upkeep grows this rank's storage to what the step's bodies index and
+// refreshes the replicated copies the step reads from their global
+// arrays (the host may have written them since the last step).
+func (w *worker) upkeep(sr *stepRank) {
+	r := w.rank
+	for _, g := range sr.grow {
+		if want := g.n * g.ld.d.Dim(); len(g.ld.vals[r]) < want {
+			grown := make([]float64, want)
+			copy(grown, g.ld.vals[r])
+			g.ld.vals[r] = grown
+			w.epoch++
+		}
+	}
+	for _, c := range sr.refresh {
+		dim := c.ld.d.Dim()
+		dst, src := c.ld.vals[r], c.ld.d.Data()
+		for l, id := range c.ids {
+			copy(dst[l*dim:(l+1)*dim], src[int(id)*dim:(int(id)+1)*dim])
+		}
+	}
+}
+
+// postRead posts one read-halo exchange on this rank: pack and send the
+// owned values per destination from pooled message buffers, and post
+// the receive futures into the slot's scratch. Errors latch into
+// w.readErr[slot] and surface when the consuming occurrence waits.
 func (w *worker) postRead(t *task, lp *loopPlan, sched *readSchedule, slot int, hoisted bool) {
 	eng, r := w.eng, w.rank
 	w.readErr[slot] = nil
-	for _, hn := range sched.need {
-		dim := hn.sd.d.Dim()
-		if want := hn.slots * dim; len(hn.sd.halo[r]) < want {
-			grown := make([]float64, want)
-			copy(grown, hn.sd.halo[r])
-			hn.sd.halo[r] = grown
-		}
-	}
 	for dst := 0; dst < eng.ranks; dst++ {
 		if sched.sendLen[dst] == 0 {
 			continue
@@ -214,7 +183,7 @@ func (w *worker) postRead(t *task, lp *loopPlan, sched *readSchedule, slot int, 
 		msg = append(msg, float64(w.sendSeq[dst]))
 		for _, pt := range sched.sendTo[dst] {
 			dim := pt.sd.d.Dim()
-			own := pt.sd.owned[r]
+			own := pt.sd.vals[r]
 			for _, l := range pt.locals {
 				msg = append(msg, own[int(l)*dim:(int(l)+1)*dim]...)
 			}
@@ -242,7 +211,7 @@ func (w *worker) postRead(t *task, lp *loopPlan, sched *readSchedule, slot int, 
 }
 
 // execOcc runs one loop occurrence of the step on this rank.
-func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pending *[]pendingApply) (err error) {
+func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64) (err error) {
 	sub, r, eng := t.sub, w.rank, w.eng
 	sp := sub.sp
 	lp := sp.loops[o]
@@ -255,38 +224,32 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 		}
 	}
 
-	// Storage upkeep: clear the increment buffers, lay out the
-	// per-occurrence reduction scratch.
-	for _, b := range rp.incBuf {
-		clear(b)
-	}
+	// Reduction scratch: one slot per owned element when an Inc global
+	// must fold in serial element order, one accumulator otherwise.
 	size := lp.gbl.size
 	var redBuf []float64
 	if size > 0 {
 		want := size
 		if lp.needElementwise {
-			want = len(rp.elems) * size
+			want = rp.nOwned * size
 		}
-		if len(sr.redBuf[o]) < want {
-			sr.redBuf[o] = make([]float64, want)
+		bufs := sr.redBuf[sub.parity]
+		if len(bufs[o]) < want {
+			bufs[o] = make([]float64, want)
 		}
-		redBuf = sr.redBuf[o][:want]
-		for i := 0; i < want; i += size {
-			copy(redBuf[i:i+size], lp.gbl.init)
+		redBuf = bufs[o][:want]
+		if lp.gbl.allInc {
+			clear(redBuf)
+		} else {
+			for i := 0; i < want; i += size {
+				copy(redBuf[i:i+size], lp.gbl.init)
+			}
 		}
 	}
 	*redOut = redBuf
-	views := rp.views
-	for ai := range lp.args {
-		ap := &lp.args[ai]
-		switch ap.kind {
-		case argGblRead:
-			views[ai] = ap.g.Data()
-		case argGblReduce:
-			if !lp.needElementwise {
-				views[ai] = redBuf[ap.off : ap.off+ap.dim]
-			}
-		}
+	var body core.RangeBody
+	if err == nil {
+		body, err = w.bind(t, o)
 	}
 
 	// Phase 1: post this occurrence's read-halo exchange — owned values
@@ -307,13 +270,14 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 		}
 	}
 
-	// Phase 2: interior elements execute while halo messages are in
-	// flight — the paper's overlap, applied to communication latency.
+	// Phase 2: the runs that read no halo value execute while the
+	// messages are in flight — the paper's overlap, applied to
+	// communication latency.
 	if err == nil {
 		if obsOn {
 			phStart = time.Now()
 		}
-		fail(w.runChunks(t, o, redBuf, views, 0, rp.ninterior, "interior"))
+		fail(w.runPhase(t, lp, rp, body, redBuf, rp.runs[:rp.nEarly], "interior"))
 		if obsOn {
 			eng.observePhase(lp.name, r, phInterior, phStart)
 		}
@@ -343,9 +307,9 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 						off := 1 // skip the frame tag
 						for _, pt := range sched.recvFrom[readSrcs[i]] {
 							dim := pt.sd.d.Dim()
-							halo := pt.sd.halo[r]
-							for _, s := range pt.slots {
-								copy(halo[int(s)*dim:(int(s)+1)*dim], msg[off:off+dim])
+							vals := pt.sd.vals[r]
+							for _, l := range pt.locals {
+								copy(vals[int(l)*dim:(int(l)+1)*dim], msg[off:off+dim])
 								off += dim
 							}
 						}
@@ -360,132 +324,65 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64, pendin
 		}
 	}
 
-	// Phase 4: boundary elements, now that their halo reads are fresh.
+	// Phase 4: the remaining runs, now that their halo reads are fresh.
 	if err == nil {
 		if obsOn {
 			phStart = time.Now()
 		}
-		fail(w.runChunks(t, o, redBuf, views, rp.ninterior, len(rp.elems), "boundary"))
+		fail(w.runPhase(t, lp, rp, body, redBuf, rp.runs[rp.nEarly:], "boundary"))
 		if obsOn {
 			eng.observePhase(lp.name, r, phBoundary, phStart)
 		}
 	}
-
-	// Phase 5: export buffered increments to their owners and post the
-	// import futures — but do not wait: the apply goes pending, letting
-	// the increment exchange overlap the next occurrences' interiors
-	// when the step's DAG permits (incDue).
-	for dst := 0; dst < eng.ranks; dst++ {
-		if rp.incSendLen[dst] == 0 {
-			continue
-		}
-		msg := eng.getBuf(r, rp.incSendLen[dst]+1)
-		w.sendSeq[dst]++
-		msg = append(msg, float64(w.sendSeq[dst]))
-		for _, pt := range rp.incSendTo[dst] {
-			dim := lp.args[lp.incArgs[pt.ia]].dim
-			buf := rp.incBuf[pt.ia]
-			for _, p := range pt.pos {
-				msg = append(msg, buf[int(p)*dim:(int(p)+1)*dim]...)
-			}
-		}
-		fail(eng.tr.Send(r, dst, msg))
-	}
-	incFuts, incSrcs, incSeqs := w.incFuts[o][:0], w.incSrcs[o][:0], w.incSeqs[o][:0]
-	for src := 0; src < eng.ranks; src++ {
-		if rp.incRecvLen[src] == 0 {
-			continue
-		}
-		incFuts = append(incFuts, eng.tr.Recv(r, src))
-		incSrcs = append(incSrcs, src)
-		w.recvSeq[src]++
-		incSeqs = append(incSeqs, w.recvSeq[src])
-	}
-	w.incFuts[o], w.incSrcs[o], w.incSeqs[o] = incFuts, incSrcs, incSeqs
-	if len(incFuts) > 0 || len(rp.apply.arg) > 0 {
-		*pending = append(*pending, pendingApply{
-			due: sp.incDue[o], o: o, lp: lp, err: err,
-		})
-	}
 	return err
 }
 
-// resolveApply completes a pending increment application: wait for the
-// import futures, then fold every contribution into the owned values in
-// serial plan order — local and imported increments interleave exactly
-// as the serial backend would have applied them, which is what keeps the
-// distributed result bitwise-identical. Consumed message buffers return
-// to their senders' pools, and the receive futures to the transport's.
-func (w *worker) resolveApply(t *task, pa *pendingApply) error {
-	lp, r := pa.lp, w.rank
-	rp := lp.ranks[r]
-	var phStart time.Time
-	if w.eng.obsOn {
-		phStart = time.Now()
-		defer func() {
-			w.eng.observePhase(lp.name, r, phIncApply, phStart)
-		}()
+// bind returns occurrence o's body bound to this rank's arrays, binding
+// it on first use and again whenever the submitted loop, its generation
+// or this rank's storage epoch changed. A panicking binder fails the
+// occurrence like a panicking body.
+func (w *worker) bind(t *task, o int) (body core.RangeBody, err error) {
+	l, lp := t.sub.loops[o], t.sub.sp.loops[o]
+	bb := &lp.ranks[w.rank].bound
+	if bb.loop == l && bb.gen == l.Generation() && bb.epoch == w.epoch {
+		return bb.body, nil
 	}
-	err := pa.err
-	futs, srcs, seqs := w.incFuts[pa.o], w.incSrcs[pa.o], w.incSeqs[pa.o]
-	if cap(w.incMsgs) < w.eng.ranks {
-		w.incMsgs = make([][]float64, w.eng.ranks)
-	}
-	incMsgs := w.incMsgs[:w.eng.ranks]
-	clear(incMsgs)
-	received := false
-	if len(futs) > 0 {
-		if werr := w.waitFutsCtx(t.sub.ctx, futs); werr != nil {
-			if err == nil {
-				err = fmt.Errorf("dist: loop %q rank %d increment exchange: %w", lp.name, r, werr)
-			}
-		} else {
-			received = true
-			for i, f := range futs {
-				msg, _ := f.Get()
-				if ferr := w.checkFrame(lp.name, msg, rp.incRecvLen[srcs[i]], srcs[i], seqs[i]); ferr != nil && err == nil {
-					err = ferr
-				}
-				incMsgs[srcs[i]] = msg
-			}
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("dist: loop %q body binding panicked on rank %d: %v", lp.name, w.rank, rec)
 		}
+	}()
+	gen := l.Generation()
+	body = l.Binder()(rankBind{lp: lp, rank: w.rank})
+	*bb = boundBody{loop: l, gen: gen, epoch: w.epoch, body: body}
+	return body, nil
+}
+
+// rankBind is the Bind of one (loop, rank): sharded dats and replicated
+// copies resolve to the rank's local arrays, dats on unpartitioned sets
+// to their host arrays, and maps to the plan's localized rows.
+type rankBind struct {
+	lp   *loopPlan
+	rank int
+}
+
+func (b rankBind) Dat(d *core.Dat) []float64 {
+	ld, ok := b.lp.dats[d]
+	if !ok {
+		panic(fmt.Sprintf("dist: loop %q binds dat %q it does not declare", b.lp.name, d.Name()))
 	}
-	recycle := func() {
-		if !received {
-			return
-		}
-		for i, f := range futs {
-			w.eng.putBuf(srcs[i], incMsgs[srcs[i]])
-			f.Release()
-		}
+	if ld == nil {
+		return d.Data()
 	}
-	if err != nil || len(rp.apply.arg) == 0 {
-		recycle()
-		return err
+	return ld.vals[b.rank]
+}
+
+func (b rankBind) Map(m *core.Map) []int32 {
+	lm, ok := b.lp.ranks[b.rank].maps[m]
+	if !ok {
+		panic(fmt.Sprintf("dist: loop %q binds map %q it does not declare", b.lp.name, m.Name()))
 	}
-	al := &rp.apply
-	for i := range al.arg {
-		ia := int(al.arg[i])
-		arg := &lp.args[lp.incArgs[ia]]
-		dim := arg.dim
-		var c []float64
-		if int(al.src[i]) == r {
-			p := int(al.pos[i])
-			c = rp.incBuf[ia][p*dim : (p+1)*dim]
-		} else {
-			off := 1 + int(rp.incRecvOff[al.src[i]][ia]) + int(al.pos[i])*dim // +1 skips the frame tag
-			c = incMsgs[al.src[i]][off : off+dim]
-		}
-		dst := arg.sd.owned[r][int(al.target[i])*dim : (int(al.target[i])+1)*dim]
-		for k := 0; k < dim; k++ {
-			dst[k] += c[k]
-		}
-	}
-	recycle()
-	if tr := w.eng.trace; tr != nil {
-		tr(lp.name, r, "apply")
-	}
-	return nil
+	return lm
 }
 
 // checkFrame validates one received message's frame: the payload length
@@ -562,83 +459,45 @@ func (w *worker) waitFutsCtx(ctx context.Context, futs []RecvFuture) error {
 	return hpx.WaitAllCtx(ctx, ws...)
 }
 
-// runChunks executes occurrence o's exec positions [lo, hi) in blockSize
-// chunks, checking for cancellation between chunks and reporting each
-// executed chunk to the trace hook.
+// runPhase executes the given runs with the bound body, checking for
+// cancellation before each run and reporting each to the trace hook.
+// Owned runs reduce into redBuf — per element when an Inc global must
+// fold in serial order — and exec-halo runs into discarded scratch. A
+// body panic fails the occurrence.
 //
 //op2:noalloc
-func (w *worker) runChunks(t *task, o int, redBuf []float64, views [][]float64, lo, hi int, phase string) error {
-	bs := w.eng.blockSize
-	lp := t.sub.sp.loops[o]
-	kernel := t.sub.kernels[o]
-	for clo := lo; clo < hi; clo += bs {
+func (w *worker) runPhase(t *task, lp *loopPlan, rp *rankPlan, body core.RangeBody, redBuf []float64, runs []execRun, phase string) (err error) {
+	//op2:allow open-coded defer: the recovery closure is stack-allocated and fires only on a body panic
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("dist: loop %q kernel panicked on rank %d: %v", lp.name, w.rank, rec)
+		}
+	}()
+	size := lp.gbl.size
+	if len(w.discard) < size {
+		//op2:coldpath the discard scratch grows once to the widest reduction
+		w.discard = make([]float64, size)
+	}
+	discard := w.discard[:size]
+	for _, run := range runs {
 		if cerr := t.sub.ctx.Err(); cerr != nil {
-			//op2:coldpath cancellation aborts the chunk walk
+			//op2:coldpath cancellation aborts the run walk
 			return fmt.Errorf("dist: loop %q canceled on rank %d: %w", lp.name, w.rank, cerr)
 		}
-		chi := clo + bs
-		if chi > hi {
-			chi = hi
-		}
-		if err := w.safeRange(lp, kernel, redBuf, views, clo, chi); err != nil {
-			return err
+		lo, hi := int(run.lo), int(run.hi)
+		switch {
+		case lo >= rp.nOwned:
+			body(lo, hi, discard)
+		case lp.needElementwise:
+			for i := lo; i < hi; i++ {
+				body(i, i+1, redBuf[i*size:(i+1)*size])
+			}
+		default:
+			body(lo, hi, redBuf)
 		}
 		if tr := w.eng.trace; tr != nil {
 			tr(lp.name, w.rank, phase)
 		}
 	}
 	return nil
-}
-
-// safeRange executes one chunk, converting kernel panics into errors.
-//
-//op2:noalloc
-func (w *worker) safeRange(lp *loopPlan, kernel core.Kernel, redBuf []float64, views [][]float64, lo, hi int) (err error) {
-	//op2:allow open-coded defer: the recovery closure is stack-allocated and fires only on a kernel panic
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("dist: loop %q kernel panicked on rank %d: %v", lp.name, w.rank, rec)
-		}
-	}()
-	w.execRange(lp, kernel, redBuf, views, lo, hi)
-	return nil
-}
-
-// execRange builds the argument views for each exec position and invokes
-// the kernel — the distributed counterpart of core's view builder, with
-// indices resolved against owned blocks, halo slots, replicated storage,
-// increment buffers and the reduction scratch.
-//
-//op2:noalloc
-func (w *worker) execRange(lp *loopPlan, kernel core.Kernel, redBuf []float64, views [][]float64, lo, hi int) {
-	r := w.rank
-	rp := lp.ranks[r]
-	size := lp.gbl.size
-	for i := lo; i < hi; i++ {
-		for ai := range lp.args {
-			ap := &lp.args[ai]
-			switch ap.kind {
-			case argDirect:
-				l := int(rp.loc[ai][i])
-				views[ai] = ap.sd.owned[r][l*ap.dim : (l+1)*ap.dim]
-			case argDirectRepl, argIndirectRepl:
-				l := int(rp.loc[ai][i])
-				views[ai] = ap.d.Data()[l*ap.dim : (l+1)*ap.dim]
-			case argIndirect:
-				if l := rp.loc[ai][i]; l >= 0 {
-					views[ai] = ap.sd.owned[r][int(l)*ap.dim : (int(l)+1)*ap.dim]
-				} else {
-					s := int(-l - 1)
-					views[ai] = ap.sd.halo[r][s*ap.dim : (s+1)*ap.dim]
-				}
-			case argInc:
-				views[ai] = rp.incBuf[ap.ia][i*ap.dim : (i+1)*ap.dim]
-			case argGblReduce:
-				if lp.needElementwise {
-					views[ai] = redBuf[i*size+ap.off : i*size+ap.off+ap.dim]
-				}
-			}
-		}
-		kernel(views)
-	}
 }

@@ -62,10 +62,10 @@ func StepData(o Options) (*StepReport, error) {
 		Iters:      o.Iters,
 		Reps:       o.Reps,
 		Note: "The stock airfoil timestep's exchange schedule is already minimal " +
-			"(one read + one increment exchange per RK sub-iteration), so messages/iteration " +
-			"match between modes; the Step buys increment-exchange/interior overlap and one " +
-			"submission per timestep. Multi-reader pipelines (gradient→limiter→flux shapes) " +
-			"send strictly fewer messages with Steps (internal/dist TestStepPipelineFewerMessages).",
+			"(one read exchange per RK sub-iteration; increments need none), so messages/iteration " +
+			"match between modes; the Step buys one submission per timestep. Multi-reader " +
+			"pipelines (gradient→limiter→flux shapes) send strictly fewer messages with Steps " +
+			"(internal/dist TestStepPipelineFewerMessages).",
 	}
 	for _, mode := range []struct {
 		name        string

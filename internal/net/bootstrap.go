@@ -107,7 +107,7 @@ func (t *Transport) Start(ctx context.Context) error {
 		if p == nil {
 			continue
 		}
-		b := t.frames.get(headerLen)
+		b := t.frames.Get(headerLen)
 		b = b[:headerLen]
 		putHeader(b, fBarrier, t.rank, 0)
 		p.mu.Lock()

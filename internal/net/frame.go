@@ -32,8 +32,6 @@ package net
 import (
 	"encoding/binary"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // Wire frame: a fixed 9-byte header — type byte, sender rank (uint32
@@ -97,54 +95,6 @@ func decodeFloats(dst []float64, raw []byte) []float64 {
 		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(raw[off:off+8])))
 	}
 	return dst
-}
-
-// framePool is the outbound wire-frame free list — the byte-buffer
-// mirror of the engine's per-rank message-buffer pools. Send draws a
-// frame, the peer's writer goroutine returns it once written; after the
-// first timestep the pool holds the union of the schedule's frame
-// shapes and steady-state traffic allocates nothing (Stats.FrameAllocs
-// is the observable the wire-path pooling guard pins).
-type framePool struct {
-	mu     sync.Mutex
-	free   [][]byte
-	allocs atomic.Int64 // pool misses (frames ever allocated)
-	gets   atomic.Int64 // frames handed out
-}
-
-// maxFreeFrames bounds the free list, a backstop against pathological
-// shape churn (same rationale as the engine's maxFreeBufs).
-const maxFreeFrames = 64
-
-// get returns an empty frame buffer with capacity >= n.
-func (p *framePool) get(n int) []byte {
-	p.gets.Add(1)
-	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if cap(p.free[i]) >= n {
-			b := p.free[i]
-			p.free[i] = p.free[len(p.free)-1]
-			p.free[len(p.free)-1] = nil
-			p.free = p.free[:len(p.free)-1]
-			p.mu.Unlock()
-			return b[:0]
-		}
-	}
-	p.mu.Unlock()
-	p.allocs.Add(1)
-	return make([]byte, 0, n)
-}
-
-// put returns a written frame to the free list.
-func (p *framePool) put(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	p.mu.Lock()
-	if len(p.free) < maxFreeFrames {
-		p.free = append(p.free, b[:0])
-	}
-	p.mu.Unlock()
 }
 
 // ring is a growable FIFO over a reusable backing array (the same

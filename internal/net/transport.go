@@ -84,7 +84,7 @@ type Stats struct {
 	FramesRecv      int64
 	Reconnects      int64 // bootstrap dial retries (the only reconnects that exist)
 	HeartbeatMisses int64 // prober ticks that found a peer past one silent interval
-	FrameAllocs     int64 // wire-frame pool misses — flat in steady state
+	FrameAllocs     int64 // wire-frame pool misses — zero once the step plan's reservation covers its traffic
 	FrameGets       int64 // wire frames handed out
 }
 
@@ -165,7 +165,7 @@ type Transport struct {
 	futs    sync.Pool           // *recvFut
 
 	pool   atomic.Pointer[poolHooks]
-	frames framePool
+	frames dist.Pool[byte] // outbound wire frames, returned by the writers
 
 	broken  atomic.Bool
 	errMu   sync.Mutex
@@ -195,6 +195,7 @@ var (
 	_ dist.RankedTransport = (*Transport)(nil)
 	_ dist.Poisoner        = (*Transport)(nil)
 	_ dist.PoolBinder      = (*Transport)(nil)
+	_ dist.FrameReserver   = (*Transport)(nil)
 )
 
 // New validates the configuration, applies defaults, binds the listener
@@ -300,6 +301,7 @@ func (t *Transport) Addr() string {
 
 // Stats snapshots the wire counters.
 func (t *Transport) Stats() Stats {
+	fs := t.frames.Stats()
 	return Stats{
 		BytesSent:       t.bytesSent.Load(),
 		BytesRecv:       t.bytesRecv.Load(),
@@ -307,10 +309,14 @@ func (t *Transport) Stats() Stats {
 		FramesRecv:      t.framesRecv.Load(),
 		Reconnects:      t.reconnects.Load(),
 		HeartbeatMisses: t.hbMisses.Load(),
-		FrameAllocs:     t.frames.allocs.Load(),
-		FrameGets:       t.frames.gets.Load(),
+		FrameAllocs:     fs.Misses,
+		FrameGets:       fs.Gets,
 	}
 }
+
+// ReserveFrames implements dist.FrameReserver: the engine reserves each
+// step plan's outbound frames when the plan compiles.
+func (t *Transport) ReserveFrames(n, floats int) { t.frames.Reserve(n, headerLen+8*floats) }
 
 // BindBufferPool implements dist.PoolBinder: inbound payloads from rank
 // r decode into buffers from pool r (the engine worker returns them
@@ -369,7 +375,7 @@ func (t *Transport) send(ch int, src, dst int, payload []float64, recycle bool) 
 		typ = fCtl
 	}
 	nb := 8 * len(payload)
-	b := t.frames.get(headerLen + nb)
+	b := t.frames.Get(headerLen + nb)
 	b = b[:headerLen]
 	putHeader(b, typ, src, nb)
 	b = encodeFloats(b, payload)
@@ -377,7 +383,7 @@ func (t *Transport) send(ch int, src, dst int, payload []float64, recycle bool) 
 	p.mu.Lock()
 	if p.closing {
 		p.mu.Unlock()
-		t.frames.put(b)
+		t.frames.Put(b)
 		if err := t.failure(); err != nil {
 			return fmt.Errorf("net: send %d→%d on poisoned transport: %w", src, dst, err)
 		}
@@ -388,7 +394,7 @@ func (t *Transport) send(ch int, src, dst int, payload []float64, recycle bool) 
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
-		t.frames.put(b)
+		t.frames.Put(b)
 		err := fmt.Errorf("%w: net: pair %d→%d exceeded %d queued frames: peer not draining",
 			dist.ErrCommOverflow, src, dst, cap(p.out))
 		t.poison(err)
@@ -631,7 +637,7 @@ func (t *Transport) writer(p *peerConn) {
 				return
 			}
 			ok = write(b)
-			t.frames.put(b)
+			t.frames.Put(b)
 			if !ok {
 				p.conn.Close()
 				return

@@ -168,13 +168,10 @@ func TestAirfoilTCPBitwise(t *testing.T) {
 }
 
 // TestTCPZeroAllocWirePath extends the pooled-buffer guard to the wire:
-// after a warmup pass, further timesteps must allocate no new halo
-// buffers AND no new wire frames — the frame pool's miss counter and
-// the engine's buffer pool counter both stay flat.
+// from the first timestep on, nothing may allocate a halo buffer or a
+// wire frame — the frame pool's miss counter and the engine's buffer
+// pool counter both stay at their pre-run values.
 func TestTCPZeroAllocWirePath(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race scheduling perturbs writer-queue peak occupancy; frame-pool working sets are not steady")
-	}
 	const n = 2
 	lns, addrs := listeners(t, n)
 	type probe struct {
@@ -199,10 +196,11 @@ func TestTCPZeroAllocWirePath(t *testing.T) {
 				outs[r].err = err
 				return
 			}
-			// Warmup: let every pool discover the schedule's shapes AND
-			// its peak in-flight depth (frames are recycled after the
-			// writer drains them, so the pool's working set depends on
-			// queue occupancy, which takes a few steps to peak).
+			// No warm-up: the step plan reserves its frames and inbound
+			// buffers when it compiles (and each sharded dat its flush
+			// traffic), so nothing may allocate from the first step on.
+			s0, _ := rt.NetStats()
+			a0, _ := rt.HaloBufferStats()
 			if _, err := app.Run(3); err != nil {
 				outs[r].err = err
 				return
@@ -211,21 +209,22 @@ func TestTCPZeroAllocWirePath(t *testing.T) {
 				outs[r].err = err
 				return
 			}
-			s0, _ := rt.NetStats()
-			a0, _ := rt.HaloBufferStats()
 			if _, err := app.Run(4); err != nil {
 				outs[r].err = err
 				return
 			}
 			s1, _ := rt.NetStats()
 			a1, _ := rt.HaloBufferStats()
-			if s1.FrameAllocs != s0.FrameAllocs {
-				outs[r].err = fmt.Errorf("rank %d: steady state allocated %d new wire frames (of %d gets)",
+			if s1.FrameAllocs > s0.FrameAllocs {
+				outs[r].err = fmt.Errorf("rank %d: allocated %d new wire frames (of %d gets) from step 1",
 					r, s1.FrameAllocs-s0.FrameAllocs, s1.FrameGets-s0.FrameGets)
 				return
 			}
-			if a1 != a0 {
-				outs[r].err = fmt.Errorf("rank %d: steady state allocated %d new halo buffers over TCP", r, a1-a0)
+			// A peer's first message can reach this process before it
+			// compiled the plan; the reservation then adopts that buffer
+			// and the miss count drops back, so only growth is a failure.
+			if a1 > a0 {
+				outs[r].err = fmt.Errorf("rank %d: allocated %d new halo buffers over TCP from step 1", r, a1-a0)
 				return
 			}
 		}(r)

@@ -9,7 +9,7 @@ import (
 
 // Span is one recorded execution phase: a named operation (usually a
 // loop or step) in a phase (issue, hoist, interior, halo, boundary,
-// inc-apply, retire, exec, fused, ...) on a rank, with wall-clock start
+// retire, exec, fused, ...) on a rank, with wall-clock start
 // and duration. Spans are plain values — recording one copies string
 // headers and integers, never allocating.
 type Span struct {

@@ -32,12 +32,12 @@ func TestMaxInFlightStepsBoundsIssueDepth(t *testing.T) {
 	release := make(chan struct{}, 3)
 	lp := rt.ParLoop("blocker", cells,
 		op2.DirectArg(x, op2.RW),
-	).Body(func(lo, hi int, _ []float64) {
+	).Body(rangeOnly(func(lo, hi int, _ []float64) {
 		<-release
 		for i := lo; i < hi; i++ {
 			xd[i]++
 		}
-	})
+	}))
 
 	ctx := context.Background()
 	f1 := lp.Async(ctx) // starts executing, blocks in the body

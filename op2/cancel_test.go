@@ -97,7 +97,7 @@ func TestAsyncCancellationWhileWaitingOnDependencies(t *testing.T) {
 
 	release := make(chan struct{})
 	producer := rt.ParLoop("producer", cells, op2.DirectArg(d, op2.Write)).
-		Body(func(lo, hi int, _ []float64) { <-release })
+		Body(rangeOnly(func(lo, hi int, _ []float64) { <-release }))
 	consumerRan := false
 	consumer := rt.ParLoop("consumer", cells, op2.DirectArg(d, op2.RW)).
 		Kernel(func(v [][]float64) { consumerRan = true })
@@ -212,12 +212,12 @@ func TestCanceledLoopFutureWaitsForPredecessors(t *testing.T) {
 
 	release := make(chan struct{})
 	producer := rt.ParLoop("producer", cells, op2.DirectArg(d, op2.Write)).
-		Body(func(lo, hi int, _ []float64) {
+		Body(rangeOnly(func(lo, hi int, _ []float64) {
 			<-release
 			for i := lo; i < hi; i++ {
 				d.Data()[i] = 1
 			}
-		})
+		}))
 	victim := rt.ParLoop("victim", cells, op2.DirectArg(d, op2.Write)).
 		Kernel(func(v [][]float64) { t.Error("victim body ran despite cancellation") })
 	heal := rt.ParLoop("heal", cells, op2.DirectArg(d, op2.Write)).
@@ -272,12 +272,12 @@ func TestAsyncCancelMidChainDrainsBeforeResolving(t *testing.T) {
 
 	release := make(chan struct{})
 	producer := rt.ParLoop("producer", cells, op2.DirectArg(d, op2.Write)).
-		Body(func(lo, hi int, _ []float64) {
+		Body(rangeOnly(func(lo, hi int, _ []float64) {
 			<-release
 			for i := lo; i < hi; i++ {
 				d.Data()[i] = 1
 			}
-		})
+		}))
 	victim := rt.ParLoop("victim", cells, op2.DirectArg(d, op2.Write)).
 		Kernel(func(v [][]float64) { t.Error("victim body ran despite cancellation") })
 	heal := rt.ParLoop("heal", cells, op2.DirectArg(d, op2.Write)).

@@ -25,6 +25,22 @@ type Kernel = core.Kernel
 // touch data exactly as the loop's args declare.
 type RangeBody = core.RangeBody
 
+// Bind resolves the arrays a RangeBody indexes: Dat(d) and Map(m) return
+// the declarations' own arrays under shared memory, and rank-local ones
+// (owned and halo values in one array, map rows in local indices) on
+// each rank of a distributed runtime.
+type Bind = core.Bind
+
+// Binder builds a loop's RangeBody over the arrays a Bind resolves; it
+// runs once per compiled loop under shared memory and once per (loop,
+// rank) under WithRanks:
+//
+//	lp.Body(func(b op2.Bind) op2.RangeBody {
+//		q, qold := b.Dat(q), b.Dat(qold)
+//		return func(lo, hi int, _ []float64) { copy(qold[4*lo:4*hi], q[4*lo:4*hi]) }
+//	})
+type Binder = core.Binder
+
 // DatArg builds a dat argument (op_arg_dat): with m == nil the loop
 // accesses element e of the dat directly (pass IDIdx as idx); with a map,
 // it accesses dat element m[e][idx].
@@ -64,16 +80,24 @@ func (rt *Runtime) ParLoop(name string, set *Set, args ...Arg) *Loop {
 // Kernel attaches the generic per-element kernel and returns the loop.
 func (lp *Loop) Kernel(k Kernel) *Loop {
 	lp.l.Kernel = k
-	lp.once, lp.err, lp.dh = new(sync.Once), nil, nil
+	lp.reset()
 	return lp
 }
 
-// Body attaches a specialized range body (the translator-generated shape);
-// when both are set, Body takes precedence.
-func (lp *Loop) Body(b RangeBody) *Loop {
+// Body attaches a specialized range body through its binder (the
+// translator-generated shape); when both are set, Body takes precedence.
+func (lp *Loop) Body(b Binder) *Loop {
 	lp.l.Body = b
-	lp.once, lp.err, lp.dh = new(sync.Once), nil, nil
+	lp.reset()
 	return lp
+}
+
+// reset drops everything derived from the attached kernel or body: the
+// cached validation verdict, the pinned distributed plan and every bound
+// body.
+func (lp *Loop) reset() {
+	lp.once, lp.err, lp.dh = new(sync.Once), nil, nil
+	lp.l.InvalidateCompiled()
 }
 
 // distHandle lazily compiles the loop's one-loop distributed step plan,

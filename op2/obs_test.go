@@ -27,11 +27,11 @@ func obsLoop(t *testing.T, rt *op2.Runtime) *op2.Loop {
 	lp := rt.ParLoop("saxpy", cells,
 		op2.DirectArg(x, op2.Read),
 		op2.DirectArg(y, op2.RW),
-	).Body(func(lo, hi int, _ []float64) {
+	).Body(rangeOnly(func(lo, hi int, _ []float64) {
 		for i := lo; i < hi; i++ {
 			yd[i] += 2 * xd[i]
 		}
-	})
+	}))
 	ctx := context.Background()
 	for i := 0; i < 10; i++ { // warm plans, pools, metric handles
 		if err := lp.Run(ctx); err != nil {

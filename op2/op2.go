@@ -160,8 +160,10 @@ func WithProfiling() Option { return func(c *config) { c.profiling = true } }
 // partitioned, written dats become owned blocks plus import halos, and
 // each loop overlaps its halo exchange with interior computation (see
 // the internal/dist package). n == 0 (the default) keeps shared-memory
-// execution. Distributed loops need generic kernels; the declared data
-// stays accessible through Dat.Data after a Sync. Once a loop has
+// execution. Each rank binds a loop's Body (or its generic Kernel) to
+// rank-local arrays — owned and halo values in one array per dat, maps
+// rewritten to local indices — so the same body serves every backend;
+// the declared data stays accessible through Dat.Data after a Sync. Once a loop has
 // written a dat, its per-rank shards are authoritative: host writes
 // into Data() are no longer observed by later loops (initialize data
 // before the first distributed write, or mutate it through loops).

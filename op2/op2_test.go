@@ -84,11 +84,11 @@ func TestRunAndAsyncAgree(t *testing.T) {
 		d := op2.MustDeclDat(cells, 1, nil, "d")
 		sum := op2.MustDeclGlobal(1, nil, "sum")
 		fill := rt.ParLoop("fill", cells, op2.DirectArg(d, op2.Write)).
-			Body(func(lo, hi int, _ []float64) {
+			Body(rangeOnly(func(lo, hi int, _ []float64) {
 				for i := lo; i < hi; i++ {
 					d.Data()[i] = float64(i)
 				}
-			})
+			}))
 		reduce := rt.ParLoop("reduce", cells,
 			op2.DirectArg(d, op2.Read),
 			op2.GblArg(sum, op2.Inc),
@@ -210,3 +210,7 @@ func TestFutureReadyAndWaitAll(t *testing.T) {
 		t.Fatal("Done channel not closed after completion")
 	}
 }
+
+// rangeOnly binds a RangeBody that captures its arrays itself; the
+// shared-memory tests using it index the declarations' host arrays.
+func rangeOnly(f op2.RangeBody) op2.Binder { return func(op2.Bind) op2.RangeBody { return f } }

@@ -30,11 +30,13 @@ import (
 //     barriers.
 //   - On a distributed runtime (WithRanks), the engine coalesces the
 //     read-halo exchanges of consecutive loops that import the same
-//     dat's halo into one message per rank pair, and lets a loop's
-//     increment exchange stay in flight while later loops that do not
-//     touch the incremented dat execute their interiors — strictly fewer
-//     halo messages and more overlap than loop-at-a-time issue, while
-//     remaining bitwise-identical to the serial backend.
+//     dat's halo into one message per rank pair, and posts each exchange
+//     as soon as the last loop writing its dats has run, so messages
+//     travel while the loops in between compute — fewer halo messages
+//     and more overlap than loop-at-a-time issue, while remaining
+//     bitwise-identical to the serial backend. Increments need no
+//     messages: each rank also executes the elements that increment its
+//     owned targets (the exec halo) and applies them in place.
 //
 // Under Serial and ForkJoin the loops simply run in program order; a
 // single loop's Run/Async is equivalent to a one-loop Step (and on
@@ -127,8 +129,8 @@ func (s *Step) compile() error {
 }
 
 // Run executes the whole step and returns once every member loop (and,
-// on distributed runtimes, every halo exchange, increment apply and
-// reduction fold) has completed. It returns the first error of any
+// on distributed runtimes, every halo exchange and reduction fold) has
+// completed. It returns the first error of any
 // member loop in program order.
 func (s *Step) Run(ctx context.Context) error {
 	if err := s.compile(); err != nil {
@@ -209,7 +211,7 @@ func (s *Step) FusedLoops() int {
 }
 
 // Fence blocks until every loop and step submitted to a distributed
-// runtime has completed — deferred halo applies and reduction folds
+// runtime has completed — halo exchanges and reduction folds
 // included — and returns the first error no caller has observed yet
 // (the runtime-level counterpart of Dat.Sync). On shared-memory
 // runtimes outstanding work is tracked per dat and per global, so Fence
@@ -221,8 +223,8 @@ func (rt *Runtime) Fence() error {
 	return classify(rt.eng.Fence())
 }
 
-// HaloMessagesSent reports the total halo messages (read-halo and
-// increment) a distributed runtime has posted since creation, and 0 for
+// HaloMessagesSent reports the total read-halo messages a distributed
+// runtime has posted since creation, and 0 for
 // shared-memory runtimes. Comparing the delta per iteration between
 // Step issue and loop-at-a-time issue is how the batching win is
 // measured (cmd/experiments -exp step).
@@ -235,9 +237,10 @@ func (rt *Runtime) HaloMessagesSent() int64 {
 
 // HaloBufferStats reports a distributed runtime's message-buffer pool
 // counters: how many buffers were ever allocated (pool misses) and how
-// many were requested in total. In steady state allocated stays flat
-// while requested grows — every halo message of a settled timestep packs
-// into a recycled buffer. Shared-memory runtimes report zeros.
+// many were requested in total. Each step plan reserves its traffic's
+// buffers when it compiles, so allocated stays flat from the first
+// timestep while requested grows — every halo message packs into a
+// pooled buffer. Shared-memory runtimes report zeros.
 func (rt *Runtime) HaloBufferStats() (allocated, requested int64) {
 	if rt.eng == nil {
 		return 0, 0
