@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,6 +17,13 @@ import (
 // count. All kernels write integer-valued floats, so floating-point
 // addition is exact and the comparison is order-independent — any mismatch
 // is a real dependency bug, not FP noise.
+//
+// Every program runs rpReps times back to back. In stepped mode the
+// dataflow run builds the program into one StepPlan — adjacent direct and
+// reduction loops on cells fuse into multi-loop groups — and issues it
+// rpReps times through RunStepAsyncCtx without waiting in between, so
+// fused-group issue is checked against the serial oracle as well as
+// per-loop issue.
 
 // randomProgram describes one generated workload, replayable onto fresh
 // state for each backend.
@@ -36,6 +44,7 @@ type progStep struct {
 const (
 	rpCellDats = 3
 	rpNodeDats = 2
+	rpReps     = 4
 )
 
 func genProgram(rng *rand.Rand) randomProgram {
@@ -61,9 +70,10 @@ func genProgram(rng *rand.Rand) randomProgram {
 	return p
 }
 
-// run replays the program on a fresh state under the given backend and
-// returns all final dat contents plus reduction results.
-func (p randomProgram) run(backend Backend, workers int) ([][]float64, []float64, error) {
+// run replays the program rpReps times on a fresh state under the given
+// backend and returns all final dat contents plus reduction results.
+// stepped issues each repetition as one pipelined step under Dataflow.
+func (p randomProgram) run(backend Backend, workers int, stepped bool) ([][]float64, []float64, error) {
 	cells := MustDeclSet(p.ncells, "cells")
 	edges := MustDeclSet(p.nedges, "edges")
 	nodes := MustDeclSet(p.nnodes, "nodes")
@@ -142,11 +152,30 @@ func (p randomProgram) run(backend Backend, workers int) ([][]float64, []float64
 		}
 	}
 
-	for _, l := range loops {
-		if backend == Dataflow {
-			ex.RunAsync(l)
-		} else if err := ex.Run(l); err != nil {
+	switch {
+	case backend == Dataflow && stepped:
+		sp, err := BuildStepPlan("random", loops)
+		if err != nil {
 			return nil, nil, err
+		}
+		futs := make([]Future, rpReps)
+		for r := range futs {
+			futs[r] = ex.RunStepAsyncCtx(context.Background(), sp)
+		}
+		for _, f := range futs {
+			if err := f.Wait(); err != nil {
+				return nil, nil, err
+			}
+		}
+	default:
+		for r := 0; r < rpReps; r++ {
+			for _, l := range loops {
+				if backend == Dataflow {
+					ex.RunAsync(l)
+				} else if err := ex.Run(l); err != nil {
+					return nil, nil, err
+				}
+			}
 		}
 	}
 	var out [][]float64
@@ -166,31 +195,38 @@ func (p randomProgram) run(backend Backend, workers int) ([][]float64, []float64
 }
 
 func TestDataflowDifferentialAgainstSerial(t *testing.T) {
-	f := func(seed int64, workersRaw uint8) bool {
+	f := func(seed int64, workersRaw uint8, stepped bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		prog := genProgram(rng)
 		workers := int(workersRaw)%8 + 1
+		mode := "loops"
+		if stepped {
+			mode = "step"
+		}
 
-		refDats, refReds, err := prog.run(Serial, 1)
+		refDats, refReds, err := prog.run(Serial, 1, false)
 		if err != nil {
+			t.Logf("seed %d: serial: %v", seed, err)
 			return false
 		}
-		gotDats, gotReds, err := prog.run(Dataflow, workers)
+		gotDats, gotReds, err := prog.run(Dataflow, workers, stepped)
 		if err != nil {
+			t.Logf("seed %d workers %d mode %s: dataflow: %v", seed, workers, mode, err)
 			return false
 		}
 		for i := range refDats {
 			for j := range refDats[i] {
 				if refDats[i][j] != gotDats[i][j] {
-					t.Logf("seed %d workers %d: dat %d elem %d: serial %g, dataflow %g",
-						seed, workers, i, j, refDats[i][j], gotDats[i][j])
+					t.Logf("seed %d workers %d mode %s: dat %d elem %d: serial %g, dataflow %g",
+						seed, workers, mode, i, j, refDats[i][j], gotDats[i][j])
 					return false
 				}
 			}
 		}
 		for i := range refReds {
 			if refReds[i] != gotReds[i] {
-				t.Logf("seed %d: reduction %d: serial %g, dataflow %g", seed, i, refReds[i], gotReds[i])
+				t.Logf("seed %d workers %d mode %s: reduction %d: serial %g, dataflow %g",
+					seed, workers, mode, i, refReds[i], gotReds[i])
 				return false
 			}
 		}
@@ -206,11 +242,11 @@ func TestForkJoinDifferentialAgainstSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		prog := genProgram(rng)
 		workers := int(workersRaw)%8 + 1
-		refDats, refReds, err := prog.run(Serial, 1)
+		refDats, refReds, err := prog.run(Serial, 1, false)
 		if err != nil {
 			return false
 		}
-		gotDats, gotReds, err := prog.run(ForkJoin, workers)
+		gotDats, gotReds, err := prog.run(ForkJoin, workers, false)
 		if err != nil {
 			return false
 		}
