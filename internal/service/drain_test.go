@@ -61,6 +61,20 @@ func TestDrainStopsRunningJob(t *testing.T) {
 
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- svc.Drain(context.Background()) }()
+	// Resolve only once admission has closed: the scheduler checks the
+	// drain flag before it issues, so a step slot freed earlier would be
+	// refilled with a step nobody resolves. A probe accepted before the
+	// flip is a one-step auto job the drain waits out harmlessly.
+	for {
+		_, err := svc.Submit(context.Background(), service.Spec{Name: "probe", Iters: 1, Start: startOf(&fakeInst{auto: true})})
+		if errors.Is(err, service.ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// The drain waits for the in-flight steps; resolve them cleanly.
 	for _, f := range inflight {
 		f.resolve(nil)
