@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"op2hpx/internal/hpx"
 	"op2hpx/internal/hpx/sched"
 	"op2hpx/internal/obs"
 )
@@ -24,7 +23,7 @@ import (
 //     Body, or the generic view-building binder over Kernel),
 //   - the §V prefetcher configuration, and
 //   - a pool of loopRun states holding the slot-indexed reduction
-//     scratch table and the persistent chunk tasks of the parallel
+//     scratch table and the persistent chunk task of the parallel
 //     region.
 //
 // A CompiledLoop is immutable after construction; all mutable
@@ -44,7 +43,7 @@ type CompiledLoop struct {
 	body RangeBody // l.Binder() bound to the host arrays
 
 	runs   sync.Pool // *loopRun
-	issues sync.Pool // *issueState: pooled async-issue states (see issue.go)
+	issues sync.Pool // *issueState: the loop's one-member issue units (see issue.go)
 
 	// hist caches the loop's op2_loop_seconds handle — one atomic load
 	// per execution once registered (see CompiledLoop.histFor).
@@ -53,7 +52,7 @@ type CompiledLoop struct {
 	// Dependency gather buffers, reused across synchronous dataflow
 	// invocations. Only the issuing goroutine touches them — the same
 	// single-issuer contract that makes program order define the DAG.
-	hardBuf, ordBuf []hpx.Waiter
+	hardBuf, ordBuf []*chainHandle
 }
 
 // compiled returns the loop's compiled artifact for this executor,
@@ -102,10 +101,10 @@ type hostBind struct{}
 func (hostBind) Dat(d *Dat) []float64 { return d.data }
 func (hostBind) Map(m *Map) []int32   { return m.data }
 
-// gatherDepsReuse is gatherDeps into the compiled loop's reusable
+// gatherDepsReuse gathers the loop's dependencies into its reusable
 // buffers — zero allocations once the buffers have grown to the loop's
 // steady-state dependency count. Issuing-goroutine only.
-func (cl *CompiledLoop) gatherDepsReuse() (hard, ordering []hpx.Waiter) {
+func (cl *CompiledLoop) gatherDepsReuse() (hard, ordering []*chainHandle) {
 	cl.hardBuf, cl.ordBuf = gatherDepsInto(cl.res, cl.hardBuf[:0], cl.ordBuf[:0])
 	return cl.hardBuf, cl.ordBuf
 }
@@ -128,12 +127,15 @@ func (cl *CompiledLoop) putRun(lr *loopRun) {
 	cl.runs.Put(lr)
 }
 
-// chunkRegion executes chunk claims on the scheduler pool through
-// persistent, reusable task closures — the zero-allocation replacement
+// chunkRegion executes chunk claims on the scheduler pool through one
+// persistent, reusable task closure — the zero-allocation replacement
 // of hpx.ForEachChunk for compiled loops. A region is configured with a
 // chunk grid (start/size/end over elements or block indices) and an
-// exec callback bound once at construction; dispatch then submits one
-// pooled task per chunk and joins.
+// exec callback bound once at construction; dispatch then submits the
+// claim task once per chunk and joins. Each run of the task claims the
+// next unclaimed chunk ordinal, so a grid of any size costs no
+// allocation, and chunk c still covers the same range and reduction
+// slot whichever worker claims it.
 type chunkRegion struct {
 	ctx      context.Context
 	start    int // first element (direct) or block index (colored)
@@ -144,7 +146,8 @@ type chunkRegion struct {
 	wg       sync.WaitGroup
 	panicMu  sync.Mutex
 	panicked any
-	tasks    []sched.Task // tasks[c] executes chunk c; grow-only
+	next     atomic.Int64 // next unclaimed chunk ordinal
+	claim    sched.Task   // cached: run the next unclaimed chunk
 }
 
 // runChunk claims chunk c of the current grid.
@@ -171,20 +174,20 @@ func (r *chunkRegion) runChunk(c int) {
 }
 
 // dispatch submits nchunks chunk claims onto the pool through the
-// persistent task closures and joins. Task closures are created once
-// per chunk ordinal and reused by every later invocation, so the
+// persistent claim task and joins. The task closure is created on the
+// region's first dispatch and reused by every later one, so the
 // steady-state region performs no allocations.
 func (r *chunkRegion) dispatch(pool *sched.Pool, nchunks int) error {
-	for len(r.tasks) < nchunks {
-		c := len(r.tasks)
-		r.tasks = append(r.tasks, func() { r.runChunk(c) })
+	if r.claim == nil {
+		r.claim = func() { r.runChunk(int(r.next.Add(1) - 1)) }
 	}
+	r.next.Store(0)
 	r.wg.Add(nchunks)
 	for c := 0; c < nchunks; c++ {
-		if err := pool.Submit(r.tasks[c]); err != nil {
+		if err := pool.Submit(r.claim); err != nil {
 			// Pool closed (or closing raced the submit): run inline — the
 			// task re-checks the context itself.
-			r.tasks[c]()
+			r.claim()
 		}
 	}
 	r.wg.Wait()
@@ -197,8 +200,8 @@ func (r *chunkRegion) dispatch(pool *sched.Pool, nchunks int) error {
 
 // loopRun is the mutable per-invocation state of a compiled loop: the
 // slot-indexed reduction scratch table and the parallel region that
-// executes chunks on the scheduler pool through persistent, reusable
-// task closures. Everything here is reused across invocations via the
+// executes chunks on the scheduler pool through one persistent, reusable
+// task closure. Everything here is reused across invocations via the
 // CompiledLoop's pool, which is what makes the steady-state issue path
 // allocation-free.
 type loopRun struct {

@@ -18,8 +18,8 @@ import (
 // turns program order into the execution DAG of Fig. 11.
 type versionState struct {
 	mu        sync.Mutex
-	lastWrite hpx.Waiter
-	readers   []hpx.Waiter
+	lastWrite *chainHandle
+	readers   []*chainHandle
 }
 
 // appendDependencies appends the futures a new access must wait for
@@ -34,12 +34,12 @@ type versionState struct {
 // instead of being re-gathered forever. Failed entries stay — their
 // errors must keep propagating to later hard accesses until a write
 // displaces them.
-func (v *versionState) appendDependencies(acc Access, dst []hpx.Waiter) []hpx.Waiter {
+func (v *versionState) appendDependencies(acc Access, dst []*chainHandle) []*chainHandle {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if lw := v.lastWrite; lw != nil {
-		if settledOK(lw) {
-			releaseWaiter(lw)
+		if settledOK(&lw.lco) {
+			lw.release()
 			v.lastWrite = nil
 		} else {
 			dst = append(dst, lw)
@@ -50,8 +50,8 @@ func (v *versionState) appendDependencies(acc Access, dst []hpx.Waiter) []hpx.Wa
 	}
 	kept := v.readers[:0]
 	for _, r := range v.readers {
-		if settledOK(r) {
-			releaseWaiter(r)
+		if settledOK(&r.lco) {
+			r.release()
 			continue
 		}
 		kept = append(kept, r)
@@ -74,29 +74,29 @@ func (v *versionState) appendDependencies(acc Access, dst []hpx.Waiter) []hpx.Wa
 // growing across synchronous invocations.
 func (v *versionState) recordQuiet() {
 	v.mu.Lock()
-	releaseWaiter(v.lastWrite)
+	v.lastWrite.release()
 	v.lastWrite = nil
 	for i, r := range v.readers {
-		releaseWaiter(r)
+		r.release()
 		v.readers[i] = nil
 	}
 	v.readers = v.readers[:0]
 	v.mu.Unlock()
 }
 
-// record registers the loop future f as the new version according to the
-// access mode, releasing the chain references of every entry it
+// record registers the chain future h as the new version according to
+// the access mode, releasing the chain references of every entry it
 // displaces. Read records compact settled-successful readers in place so
 // the reader list of a dat that is read every issue but never written
 // stays bounded by the in-flight (plus failed) readers.
-func (v *versionState) record(acc Access, f hpx.Waiter) {
+func (v *versionState) record(acc Access, h *chainHandle) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if acc == Read {
 		kept := v.readers[:0]
 		for _, r := range v.readers {
-			if settledOK(r) {
-				releaseWaiter(r)
+			if settledOK(&r.lco) {
+				r.release()
 				continue
 			}
 			kept = append(kept, r)
@@ -104,15 +104,15 @@ func (v *versionState) record(acc Access, f hpx.Waiter) {
 		for i := len(kept); i < len(v.readers); i++ {
 			v.readers[i] = nil
 		}
-		v.readers = append(kept, f)
+		v.readers = append(kept, h)
 		return
 	}
-	releaseWaiter(v.lastWrite)
+	v.lastWrite.release()
 	for i, r := range v.readers {
-		releaseWaiter(r)
+		r.release()
 		v.readers[i] = nil
 	}
-	v.lastWrite = f
+	v.lastWrite = h
 	v.readers = v.readers[:0]
 }
 
@@ -125,7 +125,9 @@ func (v *versionState) current() []hpx.Waiter {
 	if v.lastWrite != nil {
 		ws = append(ws, v.lastWrite)
 	}
-	ws = append(ws, v.readers...)
+	for _, r := range v.readers {
+		ws = append(ws, r)
+	}
 	return ws
 }
 

@@ -163,14 +163,6 @@ func (ex *Executor) RunCtx(ctx context.Context, l *Loop) error {
 		return err
 	}
 	hard, ordering := cl.gatherDepsReuse()
-	if ctx.Done() != nil && !(allReady(hard) && allReady(ordering)) {
-		// A cancellable wait on pending dependencies may retain the
-		// slices beyond this call (WaitAllCtx drains stragglers in the
-		// background); hand that path private copies so the reusable
-		// buffers stay ours.
-		hard = append([]hpx.Waiter(nil), hard...)
-		ordering = append([]hpx.Waiter(nil), ordering...)
-	}
 	if err := waitDeps(ctx, hard, ordering); err != nil {
 		if ctx.Err() != nil {
 			err = fmt.Errorf("op2: loop %q canceled: %w", l.Name, ctx.Err())
@@ -181,11 +173,11 @@ func (ex *Executor) RunCtx(ctx context.Context, l *Loop) error {
 		// the dependencies beneath it have drained; issueFailAfterDeps
 		// resolves it through continuations on the stragglers instead of
 		// the drain goroutine failAfterDeps used to park.
-		ex.issueFailAfterDeps(ctx, cl, err, hard, ordering)
+		cl.issueFailAfterDeps(ctx, err, hard, ordering)
 		return err
 	}
 	if err := ex.executeCompiled(ctx, cl); err != nil {
-		ex.issueFailAfterDeps(ctx, cl, err, nil, nil)
+		cl.issueFailAfterDeps(ctx, err, nil, nil)
 		return err
 	}
 	// Everything the loop touched is settled: successors need not wait
@@ -196,10 +188,10 @@ func (ex *Executor) RunCtx(ctx context.Context, l *Loop) error {
 	return nil
 }
 
-// allReady reports whether every waiter has already resolved.
-func allReady(ws []hpx.Waiter) bool {
-	for _, w := range ws {
-		if w != nil && !w.Ready() {
+// allReady reports whether every chain future has already resolved.
+func allReady(hs []*chainHandle) bool {
+	for _, h := range hs {
+		if !h.Ready() {
 			return false
 		}
 	}
@@ -240,7 +232,9 @@ func (ex *Executor) RunAsyncCtx(ctx context.Context, l *Loop) Future {
 	if err != nil {
 		return hpx.MakeErr[struct{}](err)
 	}
-	return &ex.issueLoop(ctx, cl, cl.res).user
+	is := cl.acquireIssue(ctx)
+	is.issue(cl.res)
+	return &is.members[0].user
 }
 
 // classifyResources folds a loop's arguments into its distinct resource
@@ -284,16 +278,10 @@ func classifyResources(args []Arg) []stepRes {
 	return resources
 }
 
-// gatherDeps returns the futures the resources' version chains require,
-// split into hard and ordering-only dependencies (see classifyResources).
-// The hot synchronous path passes reusable buffers through
-// CompiledLoop.gatherDepsReuse; both share this one implementation.
-func gatherDeps(resources []stepRes) (hard, ordering []hpx.Waiter) {
-	return gatherDepsInto(resources, nil, nil)
-}
-
-// gatherDepsInto is gatherDeps appending into caller-owned buffers.
-func gatherDepsInto(resources []stepRes, hard, ordering []hpx.Waiter) ([]hpx.Waiter, []hpx.Waiter) {
+// gatherDepsInto appends the chain futures the resources' version chains
+// require to caller-owned buffers, split into hard and ordering-only
+// dependencies (see classifyResources).
+func gatherDepsInto(resources []stepRes, hard, ordering []*chainHandle) ([]*chainHandle, []*chainHandle) {
 	for _, r := range resources {
 		acc := Read
 		if r.writes {
@@ -308,16 +296,16 @@ func gatherDepsInto(resources []stepRes, hard, ordering []hpx.Waiter) ([]hpx.Wai
 	return hard, ordering
 }
 
-// recordResources installs f as every resource's new version. Gathering
-// and recording happen before an issue call returns, so the DAG reflects
-// program order.
-func recordResources(resources []stepRes, f hpx.Waiter) {
+// recordResources installs h as every resource's new version; it is the
+// only code that puts a chain future into a version chain. Gathering and recording happen before an
+// issue call returns, so the DAG reflects program order.
+func recordResources(resources []stepRes, h *chainHandle) {
 	for _, r := range resources {
 		acc := Read
 		if r.writes {
 			acc = RW
 		}
-		r.state.record(acc, f)
+		r.state.record(acc, h)
 	}
 }
 
@@ -339,17 +327,48 @@ func recordResourcesQuiet(resources []stepRes) {
 // error is either the context's error or a hard dependency failure.
 //
 // When the wait is abandoned by cancellation some dependencies may still
-// be executing — the caller must resolve the loop's own promise via
-// failAfterDeps, never directly.
-func waitDeps(ctx context.Context, hard, ordering []hpx.Waiter) error {
-	if err := hpx.WaitAllCtx(ctx, ordering...); err != nil {
+// be executing — the caller must record the loop's failure through
+// issueFailAfterDeps, never as a resolved chain future.
+func waitDeps(ctx context.Context, hard, ordering []*chainHandle) error {
+	if ctx.Done() == nil || (allReady(hard) && allReady(ordering)) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// A purely write-ordered predecessor may have failed; execution
+		// order is satisfied and the data will be overwritten — don't
+		// propagate.
+		waitChains(ordering)
+		return waitChains(hard)
+	}
+	// A cancellable wait on pending dependencies may outlive this call
+	// (WaitAllCtx drains stragglers in the background), so it waits on
+	// private copies and the caller's reusable buffers stay its own.
+	if err := hpx.WaitAllCtx(ctx, waiters(ordering)...); err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		// A purely write-ordered predecessor failed; execution order is
-		// satisfied and the data will be overwritten — don't propagate.
 	}
-	return hpx.WaitAllCtx(ctx, hard...)
+	return hpx.WaitAllCtx(ctx, waiters(hard)...)
+}
+
+// waitChains waits for every chain future and returns the first error.
+func waitChains(hs []*chainHandle) error {
+	var first error
+	for _, h := range hs {
+		if err := h.Wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// waiters copies chain futures into a fresh []hpx.Waiter.
+func waiters(hs []*chainHandle) []hpx.Waiter {
+	ws := make([]hpx.Waiter, len(hs))
+	for i, h := range hs {
+		ws[i] = h
+	}
+	return ws
 }
 
 // executeCtx runs the loop body to completion on the configured pool,
@@ -559,7 +578,7 @@ func forkJoinRegion(ctx context.Context, workers, n, size int, chunk func(c, lo,
 // chunk size by executing the first iterations for real (the way HPX's
 // auto_chunk_size folds its measurement into the run), then spread static
 // chunks of the remainder across the pool through the compiled region —
-// persistent task closures, no per-invocation policy or future objects.
+// one persistent task closure, no per-invocation policy or future objects.
 func (ex *Executor) runDirect(lr *loopRun) error {
 	pool := ex.pool()
 	workers := pool.Size()

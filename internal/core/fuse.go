@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"op2hpx/internal/hpx"
 	"op2hpx/internal/obs"
 )
 
@@ -51,16 +50,12 @@ type stepGroup struct {
 	// propagation.
 	hardDeps []uint64
 
-	runs      sync.Pool // *fusedRun; multi-loop groups only
-	runsIssue sync.Pool // *groupIssue; pooled async-issue states
+	runs   sync.Pool // *fusedRun; multi-loop groups only
+	issues sync.Pool // *issueState: the group's k-member issue units (see issue.go)
 
 	// hist caches the group's op2_fused_group_seconds handle — one
 	// atomic load per pass once registered (see stepGroup.histFor).
 	hist atomic.Pointer[obs.Histogram]
-
-	// Union dependency gather buffers, reused per issue
-	// (issuing-goroutine only, like CompiledLoop's).
-	hardBuf, ordBuf []hpx.Waiter
 }
 
 func (g *stepGroup) fused() bool { return g.hi-g.lo > 1 }
@@ -360,21 +355,14 @@ func (g *stepGroup) putRun(fr *fusedRun) {
 
 // executeFusedCtx runs a multi-loop group as one pass over the
 // iteration range — one chunk-size calibration for the whole pass, each
-// chunk executing every member body back to back — and returns one
-// error per member (nil entries for members that completed).
-func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGroup) []error {
+// chunk executing every member body back to back — and writes one
+// verdict per member into errs (nil for members that completed).
+func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGroup, errs []error) {
 	k := g.hi - g.lo
-	errs := make([]error, k)
-	failAll := func(err error) []error {
-		for j := range errs {
-			if errs[j] == nil {
-				errs[j] = err
-			}
-		}
-		return errs
-	}
+	clear(errs)
 	if cerr := ctx.Err(); cerr != nil {
-		return failAll(fmt.Errorf("op2: %s canceled: %w", g.name, cerr))
+		failAll(errs, fmt.Errorf("op2: %s canceled: %w", g.name, cerr))
+		return
 	}
 	set := sp.Loops[g.lo].Set
 	var profStart time.Time
@@ -384,7 +372,8 @@ func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGr
 	}
 	fr, err := g.getRun(ex, sp, ctx)
 	if err != nil {
-		return failAll(err)
+		failAll(errs, err)
+		return
 	}
 	defer g.putRun(fr)
 	ex.fusedGroupsRun.Add(1)
@@ -420,7 +409,8 @@ func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGr
 		}
 	}
 	if regionErr != nil {
-		return failAll(fmt.Errorf("op2: %s: %w", g.name, regionErr))
+		failAll(errs, fmt.Errorf("op2: %s: %w", g.name, regionErr))
+		return
 	}
 	// Late dependency propagation: a member whose hard predecessor failed
 	// in the final chunks may never have been revisited. The mask is
@@ -446,5 +436,13 @@ func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGr
 			ex.tracer.Record(g.name, "fused", 0, profStart, d)
 		}
 	}
-	return errs
+}
+
+// failAll gives every member without a verdict yet the error err.
+func failAll(errs []error, err error) {
+	for j := range errs {
+		if errs[j] == nil {
+			errs[j] = err
+		}
+	}
 }

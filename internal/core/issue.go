@@ -3,44 +3,52 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"op2hpx/internal/hpx"
 )
 
-// This file is the pooled asynchronous issue path: the counterpart of
-// CompiledLoop for Async. Where the pre-LCO executor allocated two
-// promises and parked a dependency-wait goroutine per issue, an issue now
-// borrows a pooled issueState from its CompiledLoop, links intrusive
-// continuations onto its predecessors' wait-lists, and recycles the whole
-// state once its futures have been consumed and its version-chain entries
-// displaced — steady-state Async issue of a compiled loop allocates
-// nothing (see TestSteadyStateAsyncLoopZeroAlloc).
+// This file is the pooled asynchronous issue path (§IV, Figs. 8 and 11):
+// every dataflow issue gathers its resources' chain futures, waits on
+// them, and publishes its own future as the resources' new version. One
+// mechanism serves every shape. An issue unit is 1…64 loops that issue
+// together: a loop issued alone (RunAsyncCtx, the RunCtx failure path, a
+// non-fused step group) is a one-member unit pooled on its CompiledLoop,
+// and a fused step group is a k-member unit pooled on its stepGroup. A
+// unit gathers and subscribes its dependencies once, through intrusive
+// continuations on the predecessors' wait-lists, records each member's
+// own chain future as that member's resources' new version, and recycles
+// whole once its futures have been consumed and its chain entries
+// displaced — steady-state Async issue allocates nothing (see
+// TestSteadyStateAsyncLoopZeroAlloc).
 //
 // Lifecycle and safety:
 //
-//   - An issueState's chain handle is reference-counted: one reference
-//     per version chain it is recorded in (released when a later record
-//     or a settled-entry compaction displaces it), one for the caller's
-//     future handle (released by the first Wait, or by an owner's sweep
-//     through TryRelease), and one for the in-flight issue itself.
-//     The state recycles only at zero references AND a successfully
-//     resolved cycle — failed cycles are never reused, so a stale
-//     reference (a host fence that copied a version chain) can never
-//     miss an error: it observes either the settled success verdict or
-//     blocks until the state's next cycle resolves (over-waiting is
-//     safe; missing an error would not be).
-//   - All acquisition, recording and subscription happens on the single
-//     issuing goroutine (the same contract that makes program order
-//     define the DAG), so a state can never be displaced-and-recycled
-//     between the gather and the subscription of one issue.
-//   - The chain future resolves strictly after every dependency has
-//     fired — the continuation replacement of the failAfterDeps drain
-//     goroutine. Cancellation fails the *user* future promptly (via the
-//     monitor goroutine below) while the *chain* future keeps draining,
-//     preserving the ordering invariant that a successor write treating
-//     a resolved chain as "quiet" can never race a predecessor still
-//     executing.
+//   - A unit has one reference count: one reference per version-chain
+//     record of every member (released when a later record or a
+//     settled-entry compaction displaces it), one per member user handle
+//     (released by its first Wait, or by an owner's sweep through
+//     TryRelease), one for the in-flight issue itself and one for a
+//     cancellation monitor. The unit recycles only at zero references
+//     AND with every member's chain resolved successfully — a unit with a
+//     failed member is dropped, so a stale reference (a host fence that
+//     copied a version chain) can never miss an error: it observes either
+//     the settled success verdict or blocks until the unit's next cycle
+//     resolves (over-waiting is safe; missing an error would not be).
+//   - All acquisition, gathering, subscription and recording happens on
+//     the single issuing goroutine (the same contract that makes program
+//     order define the DAG). A unit is acquired once, before it gathers,
+//     and subscribes before it records: a gathered predecessor that a
+//     record displaces and recycles is already subscribed, and no later
+//     acquisition can hand it back to this unit.
+//   - A member's chain future resolves strictly after every dependency
+//     of its unit has fired. Cancellation fails the *user* futures
+//     promptly (via the monitor goroutine below) while the *chain*
+//     futures keep draining, so a successor write treating a resolved
+//     chain as "quiet" can never race a predecessor still executing.
+//
+// A step (stepIssue) is the join over its units' member user futures.
 
 // Future is the completion handle of an asynchronously issued loop or
 // step. The first Wait consumes the handle: pooled implementations
@@ -55,24 +63,9 @@ type Future interface {
 	Done() <-chan struct{}
 }
 
-// refReleaser is implemented by waiters whose version-chain references
-// are counted; versionState calls ReleaseRef once for every displaced or
-// compacted entry.
-type refReleaser interface{ releaseRef() }
-
-// releaseWaiter drops one chain reference of w, if w counts them.
-func releaseWaiter(w hpx.Waiter) {
-	if w == nil {
-		return
-	}
-	if r, ok := w.(refReleaser); ok {
-		r.releaseRef()
-	}
-}
-
-// settledOK reports whether w resolved successfully — such a dependency
+// settledOK reports whether l resolved successfully — such a dependency
 // imposes no constraint and its chain entry can be dropped for good.
-func settledOK(w hpx.Waiter) bool { return w.Ready() && w.Wait() == nil }
+func settledOK(l *hpx.LCO) bool { return l.Ready() && l.Wait() == nil }
 
 // ---------------------------------------------------------------------------
 // Dependency tracking
@@ -143,32 +136,25 @@ func (dw *depWaiter) fired() {
 	}
 }
 
-// subscribe links one continuation per pending dependency; verdicts of
-// already-resolved dependencies are latched inline. Waiters that cannot
-// take continuations (none in this module — every future is LCO-backed —
-// but external Waiter implementations could exist) fall back to a parked
-// goroutine.
+// await links one continuation on l; the verdict of an already-resolved
+// l is latched inline.
 //
 //op2:noalloc
-func (dw *depWaiter) subscribe(ws []hpx.Waiter) {
-	for _, w := range ws {
-		if w == nil {
-			continue
-		}
-		n := dw.node()
-		if cw, ok := w.(hpx.ContinuationWaiter); ok {
-			dw.remaining.Add(1)
-			if !cw.Subscribe(&n.c) {
-				n.err = w.Wait() // resolved: latch the verdict, no blocking
-				dw.remaining.Add(-1)
-			}
-		} else if w.Ready() {
-			n.err = w.Wait()
-		} else {
-			dw.remaining.Add(1)
-			//op2:coldpath fallback for external non-LCO Waiters; every future in this module is LCO-backed
-			go func() { n.c.Fire(w.Wait()) }()
-		}
+func (dw *depWaiter) await(l *hpx.LCO) {
+	n := dw.node()
+	dw.remaining.Add(1)
+	if !l.Subscribe(&n.c) {
+		n.err = l.Wait() // resolved: latch the verdict, no blocking
+		dw.remaining.Add(-1)
+	}
+}
+
+// subscribe awaits every chain future of hs.
+//
+//op2:noalloc
+func (dw *depWaiter) subscribe(hs []*chainHandle) {
+	for _, h := range hs {
+		dw.await(&h.lco)
 	}
 }
 
@@ -185,7 +171,7 @@ func (dw *depWaiter) markHard() { dw.nhard = dw.nsub }
 func (dw *depWaiter) finish() { dw.fired() }
 
 // firstHardErr returns the first hard dependency failure in input
-// (program) order — the same verdict waitDeps derived by waiting the
+// (program) order — the same verdict waitDeps derives by waiting the
 // ordering list first and the hard list second.
 //
 //op2:noalloc
@@ -201,18 +187,26 @@ func (dw *depWaiter) firstHardErr() error {
 // ---------------------------------------------------------------------------
 // Handles
 
-// chainHandle is the waiter recorded as the issue's resources' new
-// version. Its reference count lives on the owning issueState.
+// chainHandle is a member's chain future: the entry recorded as its
+// resources' new version. Its references are counted on the owning unit.
 type chainHandle struct {
 	lco hpx.LCO
-	ls  *issueState
+	is  *issueState
 }
 
 //op2:noalloc
-func (h *chainHandle) Wait() error                        { return h.lco.Wait() }
-func (h *chainHandle) Ready() bool                        { return h.lco.Ready() }
-func (h *chainHandle) Subscribe(c *hpx.Continuation) bool { return h.lco.Subscribe(c) }
-func (h *chainHandle) releaseRef()                        { h.ls.release() }
+func (h *chainHandle) Wait() error { return h.lco.Wait() }
+func (h *chainHandle) Ready() bool { return h.lco.Ready() }
+
+// release drops the reference of one displaced or compacted chain entry;
+// a nil handle (an empty chain slot) is a no-op.
+//
+//op2:noalloc
+func (h *chainHandle) release() {
+	if h != nil {
+		h.is.release()
+	}
+}
 
 // userReleaser is the owner a userHandle releases into.
 type userReleaser interface{ release() }
@@ -235,9 +229,8 @@ func (h *userHandle) Wait() error {
 	return err
 }
 
-func (h *userHandle) Ready() bool                        { return h.lco.Ready() }
-func (h *userHandle) Done() <-chan struct{}              { return h.lco.Done() }
-func (h *userHandle) Subscribe(c *hpx.Continuation) bool { return h.lco.Subscribe(c) }
+func (h *userHandle) Ready() bool           { return h.lco.Ready() }
+func (h *userHandle) Done() <-chan struct{} { return h.lco.Done() }
 
 // TryRelease consumes an abandoned handle once its issue has resolved
 // successfully — the sweep hook issuers use to recycle pipelined issues
@@ -259,23 +252,6 @@ func (h *userHandle) TryRelease() bool {
 	return true
 }
 
-// Abandon consumes a RESOLVED handle regardless of its verdict — the
-// sweep's last resort for a failed issue whose future nobody waited on.
-// The error is not lost: a failed issue's chain entries keep propagating
-// it through the version chains (and Sync fences) until a write
-// displaces them, exactly as before the future existed; and a failed
-// state is never pooled, so a late Wait on the abandoned handle still
-// reads the latched verdict. Abandoning a pending handle is a no-op.
-func (h *userHandle) Abandon() bool {
-	if !h.lco.Ready() {
-		return false
-	}
-	if h.released.CompareAndSwap(false, true) {
-		h.owner.release()
-	}
-	return true
-}
-
 //op2:noalloc
 func (h *userHandle) reset(owner userReleaser) {
 	h.lco.ResetFresh()
@@ -284,380 +260,304 @@ func (h *userHandle) reset(owner userReleaser) {
 }
 
 // ---------------------------------------------------------------------------
-// issueState
+// Issue units
 
-// issueState is the pooled per-issue state of one loop: the chain and
-// user futures, the dependency tracker, and the cached goroutine entry
-// points. See the file comment for the lifecycle.
+// issueMember is one loop of an issue unit. It keeps its own chain
+// future (recorded as its own resources' new version), its own user
+// future and its own abort verdict, exactly as if it issued alone.
+type issueMember struct {
+	cl       *CompiledLoop
+	chain    chainHandle
+	user     userHandle
+	abortErr error // written before issueState.aborted is set
+}
+
+// issueState is the pooled state of one issue unit: its members, one
+// dependency tracker, one cancellation monitor and one reference count.
+// See the file comment for the lifecycle.
 type issueState struct {
-	cl  *CompiledLoop
-	ctx context.Context
+	pool *sync.Pool // the CompiledLoop's or the stepGroup's
+	sp   *StepPlan  // fused units only
+	g    *stepGroup // fused units only
+	ctx  context.Context
 
-	chain chainHandle
-	user  userHandle
+	members []issueMember
+	errs    []error // fused units: per-member verdicts of the fused pass
 
-	refs atomic.Int32
-	dw   depWaiter
+	refs           atomic.Int32
+	dw             depWaiter
+	hard, ordering []*chainHandle // dependency gather buffers
 
-	// aborted: do not execute; resolve the chain with abortErr once the
-	// dependencies have drained. Set by the cancellation monitor, by a
-	// pre-canceled context at issue time, and by the synchronous Run
-	// failure path (the failAfterDeps replacement). abortErr is written
-	// before the flag (atomic release/acquire via the Bool).
-	aborted  atomic.Bool
-	abortErr error
+	// aborted: do not execute; resolve every member with its abortErr
+	// once the dependencies have drained. Set by the cancellation
+	// monitor, by a pre-canceled context at issue time, and by the
+	// synchronous RunCtx failure path.
+	aborted atomic.Bool
 
 	wake   chan struct{} // completion signal consumed by the monitor
-	execFn func()        // cached: run the loop body and resolve
+	execFn func()        // cached: execute the unit and resolve
 	monFn  func()        // cached: cancellation monitor
 }
 
-func newIssueState(cl *CompiledLoop) *issueState {
-	ls := &issueState{cl: cl, wake: make(chan struct{}, 1)}
-	ls.chain.ls = ls
-	ls.dw.owner = ls
-	ls.execFn = ls.exec
-	ls.monFn = ls.monitor
-	return ls
+func newIssueState(pool *sync.Pool, k int) *issueState {
+	is := &issueState{pool: pool, members: make([]issueMember, k), wake: make(chan struct{}, 1)}
+	for i := range is.members {
+		is.members[i].chain.is = is
+	}
+	is.dw.owner = is
+	is.execFn = is.exec
+	is.monFn = is.monitor
+	return is
 }
 
-// acquireIssue borrows a pooled issue state and re-arms it for a new
-// cycle. Issuing-goroutine only.
+// rearm arms a pooled unit for a new cycle. Issuing-goroutine only.
+//
+//op2:noalloc
+func (is *issueState) rearm(ctx context.Context) {
+	select { // drain a stale wake from a cycle whose monitor never ran
+	case <-is.wake:
+	default:
+	}
+	is.ctx = ctx
+	is.aborted.Store(false)
+	for i := range is.members {
+		m := &is.members[i]
+		m.abortErr = nil
+		m.chain.lco.ResetFresh()
+		m.user.reset(is)
+	}
+	is.refs.Store(1) // the in-flight issue itself
+}
+
+// acquireIssue borrows the loop's pooled one-member unit and arms it.
 //
 //op2:noalloc
 func (cl *CompiledLoop) acquireIssue(ctx context.Context) *issueState {
-	ls, _ := cl.issues.Get().(*issueState)
-	if ls == nil {
-		ls = newIssueState(cl)
+	is, _ := cl.issues.Get().(*issueState)
+	if is == nil {
+		is = newIssueState(&cl.issues, 1)
+		is.members[0].cl = cl
 	}
-	select { // drain a stale wake from a cycle whose monitor never ran
-	case <-ls.wake:
-	default:
+	is.rearm(ctx)
+	return is
+}
+
+// acquireGroup borrows and arms the unit of step group g with every
+// member compiled for ex: the loop's one-member unit for a single-loop
+// group, the group's own unit for a fused one.
+func (ex *Executor) acquireGroup(ctx context.Context, sp *StepPlan, g *stepGroup) (*issueState, error) {
+	if !g.fused() {
+		cl, err := ex.compiled(sp.Loops[g.lo])
+		if err != nil {
+			return nil, err
+		}
+		return cl.acquireIssue(ctx), nil
 	}
-	ls.ctx = ctx
-	ls.aborted.Store(false)
-	ls.abortErr = nil
-	ls.chain.lco.ResetFresh()
-	ls.user.reset(ls)
-	ls.refs.Store(1) // the in-flight issue itself
-	return ls
+	is, _ := g.issues.Get().(*issueState)
+	if is == nil {
+		is = newIssueState(&g.issues, g.hi-g.lo)
+		is.sp, is.g = sp, g
+		is.errs = make([]error, g.hi-g.lo)
+	}
+	for j := range is.members {
+		cl, err := ex.compiled(sp.Loops[g.lo+j])
+		if err != nil {
+			g.issues.Put(is) // never armed: nothing references it
+			return nil, err
+		}
+		is.members[j].cl = cl
+	}
+	is.rearm(ctx)
+	return is, nil
 }
 
 // release drops one reference; at zero — which implies the cycle has
-// resolved, since the issue reference is held until resolution — a
-// successfully resolved state returns to its loop's pool.
+// resolved, since the issue reference is held until resolution — a unit
+// whose members all settled OK returns to its pool.
 //
 //op2:noalloc
-func (ls *issueState) release() {
-	if ls.refs.Add(-1) != 0 {
+func (is *issueState) release() {
+	if is.refs.Add(-1) != 0 {
 		return
 	}
-	if settledOK(&ls.chain.lco) {
-		ls.ctx = nil
-		ls.cl.issues.Put(ls)
-	} else {
-		ls.ctx = nil // failed cycle: dropped, never reused
+	is.ctx = nil
+	for i := range is.members {
+		if !settledOK(&is.members[i].chain.lco) {
+			return // a failed member: the unit is dropped, never reused
+		}
+	}
+	is.pool.Put(is)
+}
+
+// issue gathers the unit's dependencies over res (the union of its
+// members' resources), links their continuations, records every member's
+// chain future as its resources' new version, and arms cancellation.
+// Zero allocations in steady state.
+//
+//op2:noalloc
+func (is *issueState) issue(res []stepRes) {
+	is.hard, is.ordering = gatherDepsInto(res, is.hard[:0], is.ordering[:0])
+	is.subscribe(is.hard, is.ordering)
+	is.refs.Add(int32(len(is.members))) // the user handles
+	is.record()
+	if is.ctx.Done() != nil {
+		if err := is.ctx.Err(); err != nil {
+			//op2:coldpath issuing on an already-canceled context aborts the cycle
+			is.noteCancel(err)
+		} else {
+			is.refs.Add(1)
+			go is.monFn()
+		}
+	}
+	is.dw.finish()
+}
+
+// issueFailAfterDeps records the synchronous RunCtx failure path: the
+// caller returns err directly, and this records a chain future that
+// resolves with err only once every gathered dependency has fired — as a
+// continuation, not a drain goroutine — so no successor can observe the
+// resource quiet while a predecessor is still executing.
+func (cl *CompiledLoop) issueFailAfterDeps(ctx context.Context, err error, hard, ordering []*chainHandle) {
+	is := cl.acquireIssue(ctx)
+	m := &is.members[0]
+	m.abortErr = err
+	is.aborted.Store(true)
+	m.user.lco.Resolve(err)
+	m.user.released.Store(true) // no handle is vended
+	is.subscribe(hard, ordering)
+	is.record()
+	is.dw.finish()
+}
+
+//op2:noalloc
+func (is *issueState) subscribe(hard, ordering []*chainHandle) {
+	is.dw.begin()
+	is.dw.subscribe(hard)
+	is.dw.markHard()
+	is.dw.subscribe(ordering)
+}
+
+// record installs every member's chain future as its resources' new
+// version, one reference per record.
+//
+//op2:noalloc
+func (is *issueState) record() {
+	for i := range is.members {
+		m := &is.members[i]
+		is.refs.Add(int32(len(m.cl.res)))
+		recordResources(m.cl.res, &m.chain)
 	}
 }
 
 //op2:noalloc
-func (ls *issueState) signalWake() {
+func (is *issueState) signalWake() {
 	select {
-	case ls.wake <- struct{}{}:
+	case is.wake <- struct{}{}:
 	default:
 	}
 }
 
-// noteAbort latches an abort verdict and fails the user future promptly;
-// the chain future is left to the dependency drain.
-//
-//op2:noalloc
-func (ls *issueState) noteAbort(err error) {
-	ls.abortErr = err
-	ls.aborted.Store(true)
-	ls.user.lco.TryResolve(err)
+// noteCancel latches every member's abort verdict and fails its user
+// future promptly; the chain futures are left to the dependency drain.
+func (is *issueState) noteCancel(cerr error) {
+	for i := range is.members {
+		m := &is.members[i]
+		m.abortErr = fmt.Errorf("op2: loop %q canceled: %w", m.cl.l.Name, cerr)
+		m.user.lco.TryResolve(m.abortErr)
+	}
+	is.aborted.Store(true)
 }
 
 // monitor is the cancellation watcher of one cycle, spawned (via the
 // cached closure, so the steady-state spawn allocates nothing) only for
-// cancellable contexts. It holds a reference so the state cannot recycle
+// cancellable contexts. It holds a reference so the unit cannot recycle
 // under it.
-func (ls *issueState) monitor() {
+func (is *issueState) monitor() {
 	select {
-	case <-ls.ctx.Done():
-		ls.noteAbort(fmt.Errorf("op2: loop %q canceled: %w", ls.cl.l.Name, ls.ctx.Err()))
-	case <-ls.wake:
+	case <-is.ctx.Done():
+		is.noteCancel(is.ctx.Err())
+	case <-is.wake:
 	}
-	ls.release()
+	is.release()
 }
 
 // depsReady runs once every dependency has fired: on the goroutine that
 // resolved the last one, or inline on the issuing goroutine when all were
-// settled. It is the single resolver of the chain future, which is what
-// guarantees the chain never resolves before the dependencies beneath it
+// settled. It is the single resolver of the chain futures, which is what
+// guarantees a chain never resolves before the dependencies beneath it
 // have drained.
 //
 //op2:noalloc
-func (ls *issueState) depsReady() {
-	if ls.aborted.Load() {
-		ls.finish(ls.abortErr)
+func (is *issueState) depsReady() {
+	if is.aborted.Load() {
+		for i := range is.members {
+			is.settle(i, is.members[i].abortErr)
+		}
+		is.done()
 		return
 	}
 	//op2:coldpath a failed hard dependency aborts the cycle; the error leaves the steady state anyway
-	if err := ls.dw.firstHardErr(); err != nil {
-		ls.finish(fmt.Errorf("op2: loop %q dependency failed: %w", ls.cl.l.Name, err))
+	if err := is.dw.firstHardErr(); err != nil {
+		for i := range is.members {
+			is.settle(i, fmt.Errorf("op2: loop %q dependency failed: %w", is.members[i].cl.l.Name, err))
+		}
+		is.done()
 		return
 	}
-	go ls.execFn()
+	go is.execFn()
 }
 
-// exec runs the loop body and resolves the cycle — the pooled
-// replacement of the per-issue goroutine body.
+// exec runs the unit — the loop body of a one-member unit, or one fused
+// pass over every member — and resolves every member with its verdict.
 //
 //op2:noalloc
-func (ls *issueState) exec() {
-	ls.finish(ls.cl.ex.executeCompiled(ls.ctx, ls.cl))
+func (is *issueState) exec() {
+	cl := is.members[0].cl
+	if is.g == nil {
+		is.settle(0, cl.ex.executeCompiled(is.ctx, cl))
+	} else {
+		cl.ex.executeFusedCtx(is.ctx, is.sp, is.g, is.errs)
+		for j, err := range is.errs {
+			is.settle(j, err)
+		}
+	}
+	is.done()
 }
 
-// finish resolves both futures with the verdict and drops the issue
-// reference. The user future may already have been failed promptly by
-// the monitor; the chain future has exactly one resolver.
+// settle resolves member i's futures with its verdict. The user future
+// may already have been failed promptly by the monitor; the chain future
+// has exactly one resolver.
 //
 //op2:noalloc
-func (ls *issueState) finish(err error) {
-	ls.chain.lco.Resolve(err)
-	ls.user.lco.TryResolve(err)
-	ls.signalWake()
-	ls.release()
+func (is *issueState) settle(i int, err error) {
+	m := &is.members[i]
+	m.chain.lco.Resolve(err)
+	m.user.lco.TryResolve(err)
 }
 
-// issueLoop is the common asynchronous issue: gather dependencies from
-// the version chains, record the chain future as every resource's new
-// version, link the continuations, arm cancellation, and return the
-// issue state (callers vend &ls.user). Zero allocations in steady state.
+// done ends the cycle once every member has settled: it wakes the
+// monitor and drops the issue reference.
 //
 //op2:noalloc
-func (ex *Executor) issueLoop(ctx context.Context, cl *CompiledLoop, resources []stepRes) *issueState {
-	ls := cl.acquireIssue(ctx)
-	hard, ordering := cl.gatherDepsReuse()
-	ls.refs.Add(1 + int32(len(resources))) // user handle + chain records
-	recordResources(resources, &ls.chain)
-	ls.dw.begin()
-	ls.dw.subscribe(hard)
-	ls.dw.markHard()
-	ls.dw.subscribe(ordering)
-	if ctx.Done() != nil {
-		if ctx.Err() != nil {
-			//op2:coldpath issuing on an already-canceled context aborts the cycle
-			ls.noteAbort(fmt.Errorf("op2: loop %q canceled: %w", cl.l.Name, ctx.Err()))
-		} else {
-			ls.refs.Add(1)
-			go ls.monFn()
-		}
-	}
-	ls.dw.finish()
-	return ls
-}
-
-// issueFailAfterDeps is the failAfterDeps replacement used by the
-// synchronous Run failure path: the caller has already derived the
-// verdict (cancellation or a hard dependency failure) and returns it
-// directly; this records a chain future that resolves with that verdict
-// only once every gathered dependency has fired — as a continuation, not
-// a drain goroutine — so no successor can observe the resource quiet
-// while a predecessor is still executing.
-func (ex *Executor) issueFailAfterDeps(ctx context.Context, cl *CompiledLoop, err error, hard, ordering []hpx.Waiter) {
-	ls := cl.acquireIssue(ctx)
-	ls.abortErr = err
-	ls.aborted.Store(true)
-	ls.user.lco.Resolve(err)
-	ls.user.released.Store(true) // no handle is vended
-	ls.refs.Add(int32(len(cl.res)))
-	recordResources(cl.res, &ls.chain)
-	ls.dw.begin()
-	ls.dw.subscribe(hard)
-	ls.dw.markHard()
-	ls.dw.subscribe(ordering)
-	ls.dw.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Fused-group issue
-
-// groupIssue drives one fused multi-loop group: union dependencies are
-// tracked once, the fused pass executes once, but every member keeps its
-// own pooled issueState — its chain future is recorded as its own
-// resources' new version and its user future carries its own verdict,
-// exactly as per-loop issue would.
-type groupIssue struct {
-	g   *stepGroup
-	sp  *StepPlan
-	ex  *Executor
-	ctx context.Context
-
-	members []*issueState // acquired from each member's CompiledLoop pool
-	dw      depWaiter
-
-	aborted atomic.Bool
-	refs    atomic.Int32
-	wake    chan struct{}
-	execFn  func()
-	monFn   func()
-}
-
-func newGroupIssue(g *stepGroup) *groupIssue {
-	gi := &groupIssue{g: g, wake: make(chan struct{}, 1)}
-	gi.dw.owner = gi
-	gi.execFn = gi.exec
-	gi.monFn = gi.monitor
-	return gi
-}
-
-func (gi *groupIssue) release() {
-	if gi.refs.Add(-1) == 0 {
-		gi.ctx = nil
-		gi.sp = nil
-		gi.ex = nil
-		gi.members = gi.members[:0]
-		gi.g.runsIssue.Put(gi)
-	}
-}
-
-func (gi *groupIssue) signalWake() {
-	select {
-	case gi.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (gi *groupIssue) monitor() {
-	select {
-	case <-gi.ctx.Done():
-		gi.noteCancel()
-	case <-gi.wake:
-	}
-	gi.release()
-}
-
-// noteCancel fails every member's user future promptly; the chains drain
-// through the group's dependency continuations.
-func (gi *groupIssue) noteCancel() {
-	gi.aborted.Store(true)
-	for _, ls := range gi.members {
-		ls.user.lco.TryResolve(fmt.Errorf("op2: loop %q canceled: %w", ls.cl.l.Name, gi.ctx.Err()))
-	}
-}
-
-func (gi *groupIssue) depsReady() {
-	if gi.aborted.Load() {
-		for _, ls := range gi.members {
-			ls.finish(fmt.Errorf("op2: loop %q canceled: %w", ls.cl.l.Name, gi.ctx.Err()))
-		}
-		gi.signalWake()
-		gi.release()
-		return
-	}
-	if err := gi.dw.firstHardErr(); err != nil {
-		for _, ls := range gi.members {
-			ls.finish(fmt.Errorf("op2: loop %q dependency failed: %w", ls.cl.l.Name, err))
-		}
-		gi.signalWake()
-		gi.release()
-		return
-	}
-	go gi.execFn()
-}
-
-func (gi *groupIssue) exec() {
-	errs := gi.ex.executeFusedCtx(gi.ctx, gi.sp, gi.g)
-	for j, ls := range gi.members {
-		ls.finish(errs[j])
-	}
-	gi.signalWake()
-	gi.release()
-}
-
-// issueFusedGroup issues a multi-loop group asynchronously through the
-// pooled path and returns the members' user futures in sp.futs order.
-func (ex *Executor) issueFusedGroup(ctx context.Context, sp *StepPlan, g *stepGroup, out []*issueState) error {
-	// Compile every member first so acquisition cannot fail halfway.
-	for o := g.lo; o < g.hi; o++ {
-		if _, err := ex.compiled(sp.Loops[o]); err != nil {
-			return err
-		}
-	}
-	gi, _ := g.runsIssue.Get().(*groupIssue)
-	if gi == nil {
-		gi = newGroupIssue(g)
-	}
-	select {
-	case <-gi.wake:
-	default:
-	}
-	gi.sp, gi.ex, gi.ctx = sp, ex, ctx
-	gi.aborted.Store(false)
-	gi.refs.Store(1)
-	// Gather AND subscribe the union dependencies BEFORE acquiring any
-	// member state. The order matters twice over: gathering first keeps
-	// the members' own futures out of the dependency list, and
-	// subscribing before any acquisition closes an ABA hole — recording
-	// an earlier member displaces gathered predecessors' chain entries,
-	// which can release their last references, recycle them, and hand
-	// the SAME pooled state back to a later member of this group; a
-	// subscription taken after that re-arm would make the group wait on
-	// its own member. Subscribing while the gathered handles are still
-	// settled-or-pending is safe: a recycled state's LCO stays resolved
-	// until re-acquired, and the guard taken by begin() defers depsReady
-	// until finish() — after the members are recorded.
-	hard, ordering := gatherDepsGroup(g)
-	gi.dw.begin()
-	gi.dw.subscribe(hard)
-	gi.dw.markHard()
-	gi.dw.subscribe(ordering)
-	for o := g.lo; o < g.hi; o++ {
-		cl, _ := ex.compiled(sp.Loops[o]) // cached above
-		ls := cl.acquireIssue(ctx)
-		// Reference shape of a driven member: the group's execution hold
-		// (released by finish), the chain records, and the user handle
-		// (consumed by the step's completion scan).
-		ls.refs.Add(1 + int32(len(sp.res[o])))
-		recordResources(sp.res[o], &ls.chain)
-		gi.members = append(gi.members, ls)
-		out[o-g.lo] = ls
-	}
-	if ctx.Done() != nil {
-		if ctx.Err() != nil {
-			gi.noteCancel()
-		} else {
-			gi.refs.Add(1)
-			go gi.monFn()
-		}
-	}
-	gi.dw.finish()
-	return nil
-}
-
-// gatherDepsGroup gathers the union dependencies of a fused group into
-// the group's reusable buffers (issuing-goroutine only).
-func gatherDepsGroup(g *stepGroup) (hard, ordering []hpx.Waiter) {
-	g.hardBuf, g.ordBuf = gatherDepsInto(g.res, g.hardBuf[:0], g.ordBuf[:0])
-	return g.hardBuf, g.ordBuf
+func (is *issueState) done() {
+	is.signalWake()
+	is.release()
 }
 
 // ---------------------------------------------------------------------------
 // Step issue
 
-// stepIssue is the pooled completion state of one asynchronously issued
-// step: it subscribes to the sink members' user futures and, once they
-// have all fired, collects the first member error in program order onto
-// the step's own future — the continuation replacement of the per-step
+// stepIssue is the pooled join of one asynchronously issued step: it
+// subscribes to the sink occurrences' user futures and, once they have
+// all fired, collects the first member error in program order onto the
+// step's own future — the continuation replacement of the per-step
 // completion goroutine.
 type stepIssue struct {
-	sp     *StepPlan
-	states []*issueState // per occurrence
-	dw     depWaiter
-	user   userHandle
-	refs   atomic.Int32
+	sp    *StepPlan
+	users []*userHandle // per issued occurrence, in program order
+	dw    depWaiter
+	user  userHandle
+	refs  atomic.Int32
 }
 
 func newStepIssue(sp *StepPlan) *stepIssue {
@@ -674,25 +574,25 @@ func (si *stepIssue) release() {
 	}
 }
 
-// depsReady: every sink has resolved. All member chains have therefore
-// resolved (each non-sink member has a successor that waited for it), so
-// the in-order scan below blocks at most on the tiny window between a
-// member's chain and user resolutions.
+// depsReady: every awaited occurrence has resolved. All member chains
+// have therefore resolved (each non-sink member has a successor that
+// waited for it), so the in-order scan below blocks at most on the tiny
+// window between a member's chain and user resolutions.
 func (si *stepIssue) depsReady() {
 	var firstErr error
-	for _, ls := range si.states {
+	for _, h := range si.users {
 		// Waiting the user handle also consumes it: the step is the owner
 		// of its members' futures.
-		if err := ls.user.Wait(); err != nil && firstErr == nil {
+		if err := h.Wait(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	si.user.lco.Resolve(firstErr)
+	si.user.lco.TryResolve(firstErr) // a compile failure resolved it already
 	si.release()
 }
 
-// issueStep issues every group of the step plan through the pooled path
-// and returns the step's user future.
+// issueStep issues every group of the step plan as one unit and returns
+// the step's user future.
 func (ex *Executor) issueStep(ctx context.Context, sp *StepPlan) Future {
 	si, _ := sp.issues.Get().(*stepIssue)
 	if si == nil {
@@ -700,58 +600,29 @@ func (ex *Executor) issueStep(ctx context.Context, sp *StepPlan) Future {
 	}
 	si.user.reset(si)
 	si.refs.Store(2) // completion scan + user handle
-	if cap(si.states) < len(sp.Loops) {
-		si.states = make([]*issueState, len(sp.Loops))
-	}
-	si.states = si.states[:len(sp.Loops)]
-	for _, g := range sp.groups {
-		if g.fused() {
-			if err := ex.issueFusedGroup(ctx, sp, g, si.states[g.lo:g.hi]); err != nil {
-				// Member loops failed to compile: nothing was issued for
-				// this group or the rest; surface the error on the step.
-				return si.failIssue(ctx, sp, g.lo, err)
-			}
-		} else {
-			cl, err := ex.compiled(sp.Loops[g.lo])
-			if err != nil {
-				return si.failIssue(ctx, sp, g.lo, err)
-			}
-			si.states[g.lo] = ex.issueLoop(ctx, cl, g.res)
-		}
-	}
+	si.users = si.users[:0]
 	si.dw.begin()
-	for _, s := range sp.sinks {
-		n := si.dw.node()
-		si.dw.remaining.Add(1)
-		if !si.states[s].user.Subscribe(&n.c) {
-			si.dw.remaining.Add(-1)
+	for _, g := range sp.groups {
+		is, err := ex.acquireGroup(ctx, sp, g)
+		if err != nil {
+			// A member failed to compile: nothing was issued for this
+			// group or the rest. The step fails with the compile error;
+			// the scan still consumes every occurrence already issued.
+			si.user.lco.Resolve(err)
+			for _, h := range si.users {
+				si.dw.await(&h.lco)
+			}
+			si.dw.finish()
+			return &si.user
 		}
+		is.issue(g.res)
+		for j := range is.members {
+			si.users = append(si.users, &is.members[j].user)
+		}
+	}
+	for _, s := range sp.sinks {
+		si.dw.await(&si.users[s].lco)
 	}
 	si.dw.finish()
-	return &si.user
-}
-
-// failIssue completes a step whose issue aborted at occurrence lo with a
-// compile error: the members already issued stand (their futures resolve
-// through the chains), the step future fails with the compile error. The
-// issued members' user handles are consumed by continuations on their
-// resolution — a one-shot release attempt would leak every still-pending
-// member's pooled state on each retry of a miscompiling step.
-func (si *stepIssue) failIssue(ctx context.Context, sp *StepPlan, lo int, err error) Future {
-	_ = ctx
-	_ = sp
-	for o := 0; o < lo; o++ {
-		ls := si.states[o]
-		if ls == nil {
-			continue
-		}
-		h := &ls.user
-		c := &hpx.Continuation{Fire: func(error) { h.Abandon() }}
-		if !h.lco.Subscribe(c) {
-			h.Abandon() // already resolved: consume inline
-		}
-	}
-	si.user.lco.Resolve(err)
-	si.release() // the completion scan will never run
 	return &si.user
 }

@@ -12,9 +12,9 @@ import (
 // with a deeply pipelined fused step: thousands of Async issues of a
 // two-loop fused group whose dependencies are the previous iteration's
 // members. This is the interleaving that once deadlocked — a gathered
-// predecessor state recycling mid-issue and being re-acquired as a
-// member of the very group subscribing to it (the fix subscribes the
-// union dependencies before any member acquisition). Run under -race.
+// predecessor state recycling mid-issue and being re-acquired by the
+// very issue subscribing to it (an issue unit is acquired once, before
+// it gathers, and subscribes before it records). Run under -race.
 func TestPipelinedFusedStepStress(t *testing.T) {
 	cells, _ := DeclSet(64, "cells")
 	d, _ := DeclDat(cells, 1, nil, "d")
