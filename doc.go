@@ -28,9 +28,10 @@
 // the loop, after which a synchronous direct-loop invocation performs
 // zero heap allocations on the Serial and Dataflow backends. The
 // asynchronous path matches it: futures are intrusive wait-list LCOs
-// (hpx.LCO), an Async issue borrows a pooled issue state, links
-// continuations onto its predecessors' wait-lists instead of parking a
-// dependency-wait goroutine, and recycles once consumed — a steady-state
+// (hpx.LCO), and every Async issue — one loop, or one fused group of a
+// step — borrows one pooled issue unit, links continuations onto its
+// predecessors' wait-lists instead of parking a dependency-wait
+// goroutine, and recycles once consumed — a steady-state
 // Async issue-and-wait is 0 allocs/op too, a pipelined step.Async
 // timestep costs a few allocations (down from ~112), and distributed
 // timesteps pack every halo message into per-rank pooled buffers

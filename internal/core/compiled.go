@@ -43,16 +43,11 @@ type CompiledLoop struct {
 	body RangeBody // l.Binder() bound to the host arrays
 
 	runs   sync.Pool // *loopRun
-	issues sync.Pool // *issueState: the loop's one-member issue units (see issue.go)
+	issues issuePool // the loop's one-member issue units (see issue.go)
 
 	// hist caches the loop's op2_loop_seconds handle — one atomic load
 	// per execution once registered (see CompiledLoop.histFor).
 	hist atomic.Pointer[obs.Histogram]
-
-	// Dependency gather buffers, reused across synchronous dataflow
-	// invocations. Only the issuing goroutine touches them — the same
-	// single-issuer contract that makes program order define the DAG.
-	hardBuf, ordBuf []*chainHandle
 }
 
 // compiled returns the loop's compiled artifact for this executor,
@@ -100,14 +95,6 @@ type hostBind struct{}
 
 func (hostBind) Dat(d *Dat) []float64 { return d.data }
 func (hostBind) Map(m *Map) []int32   { return m.data }
-
-// gatherDepsReuse gathers the loop's dependencies into its reusable
-// buffers — zero allocations once the buffers have grown to the loop's
-// steady-state dependency count. Issuing-goroutine only.
-func (cl *CompiledLoop) gatherDepsReuse() (hard, ordering []*chainHandle) {
-	cl.hardBuf, cl.ordBuf = gatherDepsInto(cl.res, cl.hardBuf[:0], cl.ordBuf[:0])
-	return cl.hardBuf, cl.ordBuf
-}
 
 // getRun borrows a pooled per-invocation run state.
 func (cl *CompiledLoop) getRun(ctx context.Context) *loopRun {

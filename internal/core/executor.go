@@ -162,7 +162,7 @@ func (ex *Executor) RunCtx(ctx context.Context, l *Loop) error {
 	if err != nil {
 		return err
 	}
-	hard, ordering := cl.gatherDepsReuse()
+	hard, ordering := cl.issues.gather(cl.res)
 	if err := waitDeps(ctx, hard, ordering); err != nil {
 		if ctx.Err() != nil {
 			err = fmt.Errorf("op2: loop %q canceled: %w", l.Name, ctx.Err())

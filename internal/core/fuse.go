@@ -18,10 +18,12 @@ const maxFuse = 64
 // stepGroup is one issue unit of a StepPlan under the Dataflow backend:
 // either a single loop, or a maximal run of consecutive direct loops
 // over the same iteration set whose mutual dependencies are provably
-// element-wise. A multi-loop group executes as ONE pass over the
-// iteration range — each chunk visit runs every member body back to
-// back — cutting one full memory sweep and one issue (dependency
-// gather, chunk calibration, future, goroutine) per fused member.
+// element-wise. A single-loop group issues as its loop's one-member unit;
+// a multi-loop group issues as one k-member unit pooled on the group
+// (see issue.go) and executes as ONE pass over the iteration range —
+// each chunk visit runs every member body back to back — cutting one
+// full memory sweep and one issue (dependency gather, chunk
+// calibration, goroutine) per fused member.
 //
 // Fusion preserves results bitwise. Element e of a later member depends
 // only on element e of earlier members (that is what the join rules
@@ -51,7 +53,7 @@ type stepGroup struct {
 	hardDeps []uint64
 
 	runs   sync.Pool // *fusedRun; multi-loop groups only
-	issues sync.Pool // *issueState: the group's k-member issue units (see issue.go)
+	issues issuePool // the group's k-member issue units (see issue.go)
 
 	// hist caches the group's op2_fused_group_seconds handle — one
 	// atomic load per pass once registered (see stepGroup.histFor).

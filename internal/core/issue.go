@@ -262,6 +262,27 @@ func (h *userHandle) reset(owner userReleaser) {
 // ---------------------------------------------------------------------------
 // Issue units
 
+// issuePool holds issue units between cycles — on a CompiledLoop for its
+// one-member units, on a stepGroup for its fused units — together with
+// the dependency gather buffers those units share. Gathering runs on the
+// issuing goroutine only and a unit is done with the buffers once it has
+// subscribed, so one pair per pool serves every unit, and no pooled unit
+// keeps its predecessors reachable.
+type issuePool struct {
+	sync.Pool
+	hard, ordering []*chainHandle
+}
+
+// gather collects the chain futures res depends on into the pool's
+// buffers — zero allocations once they have grown to the steady-state
+// dependency count.
+//
+//op2:noalloc
+func (p *issuePool) gather(res []stepRes) (hard, ordering []*chainHandle) {
+	p.hard, p.ordering = gatherDepsInto(res, p.hard[:0], p.ordering[:0])
+	return p.hard, p.ordering
+}
+
 // issueMember is one loop of an issue unit. It keeps its own chain
 // future (recorded as its own resources' new version), its own user
 // future and its own abort verdict, exactly as if it issued alone.
@@ -276,7 +297,7 @@ type issueMember struct {
 // dependency tracker, one cancellation monitor and one reference count.
 // See the file comment for the lifecycle.
 type issueState struct {
-	pool *sync.Pool // the CompiledLoop's or the stepGroup's
+	pool *issuePool // the CompiledLoop's or the stepGroup's
 	sp   *StepPlan  // fused units only
 	g    *stepGroup // fused units only
 	ctx  context.Context
@@ -284,9 +305,8 @@ type issueState struct {
 	members []issueMember
 	errs    []error // fused units: per-member verdicts of the fused pass
 
-	refs           atomic.Int32
-	dw             depWaiter
-	hard, ordering []*chainHandle // dependency gather buffers
+	refs atomic.Int32
+	dw   depWaiter
 
 	// aborted: do not execute; resolve every member with its abortErr
 	// once the dependencies have drained. Set by the cancellation
@@ -299,7 +319,7 @@ type issueState struct {
 	monFn  func()        // cached: cancellation monitor
 }
 
-func newIssueState(pool *sync.Pool, k int) *issueState {
+func newIssueState(pool *issuePool, k int) *issueState {
 	is := &issueState{pool: pool, members: make([]issueMember, k), wake: make(chan struct{}, 1)}
 	for i := range is.members {
 		is.members[i].chain.is = is
@@ -396,8 +416,7 @@ func (is *issueState) release() {
 //
 //op2:noalloc
 func (is *issueState) issue(res []stepRes) {
-	is.hard, is.ordering = gatherDepsInto(res, is.hard[:0], is.ordering[:0])
-	is.subscribe(is.hard, is.ordering)
+	is.subscribe(is.pool.gather(res))
 	is.refs.Add(int32(len(is.members))) // the user handles
 	is.record()
 	if is.ctx.Done() != nil {
@@ -587,6 +606,10 @@ func (si *stepIssue) depsReady() {
 			firstErr = err
 		}
 	}
+	// The op2 facade caches a wrapper per step future for the plan's
+	// life; dropping the consumed handles keeps that cache from holding
+	// every unit of the step's last cycle live.
+	clear(si.users)
 	si.user.lco.TryResolve(firstErr) // a compile failure resolved it already
 	si.release()
 }

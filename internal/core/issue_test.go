@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +71,48 @@ func TestPipelinedFusedStepStress(t *testing.T) {
 	for i, v := range d.data {
 		if v != 2 {
 			t.Fatalf("d[%d] = %g, want 2", i, v)
+		}
+	}
+}
+
+// TestStepCompileFailureJoinsIssuedMembers: a step whose later group
+// fails to compile fails its future with the compile error, while the
+// occurrences issued before it still run and are consumed by the step's
+// completion scan.
+func TestStepCompileFailureJoinsIssuedMembers(t *testing.T) {
+	cells := MustDeclSet(8, "cells")
+	nodes := MustDeclSet(4, "nodes")
+	m := MustDeclMap(cells, nodes, 1, []int32{0, 1, 2, 3, 0, 1, 2, 3}, "m")
+	d := MustDeclDat(cells, 1, nil, "d")
+	n := MustDeclDat(nodes, 1, nil, "n")
+	ex := NewExecutor(Config{Backend: Dataflow})
+	ex.cfg.BlockSize = -1 // indirect loops cannot build a plan
+	w := &Loop{Name: "w", Set: cells,
+		Args:   []Arg{ArgDat(d, IDIdx, nil, RW)},
+		Kernel: func(v [][]float64) { v[0][0]++ }}
+	inc := &Loop{Name: "inc", Set: cells,
+		Args:   []Arg{ArgDat(d, IDIdx, nil, Read), ArgDat(n, 0, m, Inc)},
+		Kernel: func(v [][]float64) { v[1][0] += v[0][0] }}
+	sp, err := BuildStepPlan("s", []*Loop{w, inc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reps = 3
+	futs := make([]Future, reps)
+	for i := range futs {
+		futs[i] = ex.RunStepAsyncCtx(context.Background(), sp)
+	}
+	for _, f := range futs {
+		if err := f.Wait(); err == nil || !strings.Contains(err.Error(), "block size") {
+			t.Fatalf("step verdict = %v, want the plan's block-size error", err)
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range d.Data() {
+		if v != reps {
+			t.Fatalf("d[%d] = %g, want %d: the issued member did not run every step", i, v, reps)
 		}
 	}
 }

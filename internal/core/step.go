@@ -41,14 +41,15 @@ type StepPlan struct {
 	// maximal runs of adjacent direct loops over the same set with
 	// element-wise dependencies execute fused, as one pass over the
 	// iteration range (see stepGroup); everything else issues one loop
-	// per group. Serial and ForkJoin ignore the grouping and run the
+	// per group. Each group issues as one pooled issue unit (see
+	// issue.go). Serial and ForkJoin ignore the grouping and run the
 	// loops in program order.
 	groups []*stepGroup
 
-	// issues pools the step's asynchronous completion states (see
-	// stepIssue): steady-state step issue reuses them instead of
-	// allocating a futures slice, a promise and a completion goroutine
-	// per submission.
+	// issues pools the step's joins (see stepIssue): the step future
+	// over its units' member futures. Steady-state step issue reuses
+	// them instead of allocating a futures slice, a promise and a
+	// completion goroutine per submission.
 	issues sync.Pool
 }
 
