@@ -37,17 +37,29 @@ type versionState struct {
 func (v *versionState) appendDependencies(acc Access, dst []*chainHandle) []*chainHandle {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if lw := v.lastWrite; lw != nil {
-		if settledOK(&lw.lco) {
-			lw.release()
-			v.lastWrite = nil
-		} else {
-			dst = append(dst, lw)
-		}
+	v.dropSettledWrite()
+	if v.lastWrite != nil {
+		dst = append(dst, v.lastWrite)
 	}
 	if acc == Read {
 		return dst
 	}
+	v.dropSettledReaders()
+	return append(dst, v.readers...)
+}
+
+// dropSettledWrite drops the last write if it resolved successfully,
+// releasing its reference. Caller holds v.mu.
+func (v *versionState) dropSettledWrite() {
+	if lw := v.lastWrite; lw != nil && settledOK(&lw.lco) {
+		lw.release()
+		v.lastWrite = nil
+	}
+}
+
+// dropSettledReaders compacts the reader list in place, dropping and
+// releasing every reader that resolved successfully. Caller holds v.mu.
+func (v *versionState) dropSettledReaders() {
 	kept := v.readers[:0]
 	for _, r := range v.readers {
 		if settledOK(&r.lco) {
@@ -55,13 +67,9 @@ func (v *versionState) appendDependencies(acc Access, dst []*chainHandle) []*cha
 			continue
 		}
 		kept = append(kept, r)
-		dst = append(dst, r)
 	}
-	for i := len(kept); i < len(v.readers); i++ {
-		v.readers[i] = nil
-	}
+	clear(v.readers[len(kept):])
 	v.readers = kept
-	return dst
 }
 
 // recordQuiet marks a write access as complete-and-settled without
@@ -93,18 +101,8 @@ func (v *versionState) record(acc Access, h *chainHandle) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if acc == Read {
-		kept := v.readers[:0]
-		for _, r := range v.readers {
-			if settledOK(&r.lco) {
-				r.release()
-				continue
-			}
-			kept = append(kept, r)
-		}
-		for i := len(kept); i < len(v.readers); i++ {
-			v.readers[i] = nil
-		}
-		v.readers = append(kept, h)
+		v.dropSettledReaders()
+		v.readers = append(v.readers, h)
 		return
 	}
 	v.lastWrite.release()
@@ -116,8 +114,24 @@ func (v *versionState) record(acc Access, h *chainHandle) {
 	v.readers = v.readers[:0]
 }
 
-// current returns a waiter for everything outstanding, i.e. the fence a
-// host-side access needs.
+// fence waits for every outstanding entry — the fence a host-side access
+// needs — and returns the first error. Once the wait succeeds it drops
+// the entries that settled successfully, as gathering would: they
+// constrain nothing, and dropping them now lets their issue units
+// recycle instead of staying reachable until the resource's next access
+// (a dat only ever read keeps every reader issued ahead of execution).
+func (v *versionState) fence() error {
+	if err := hpx.WaitAll(v.current()...); err != nil {
+		return err
+	}
+	v.mu.Lock()
+	v.dropSettledWrite()
+	v.dropSettledReaders()
+	v.mu.Unlock()
+	return nil
+}
+
+// current returns a waiter for everything outstanding.
 func (v *versionState) current() []hpx.Waiter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -197,7 +211,7 @@ func (d *Dat) Elem(e int) []float64 { return d.data[e*d.dim : (e+1)*d.dim] }
 // using p_qold) — and then flushes resident storage (see SetFlush) so
 // Data observes the authoritative values. It returns the first error.
 func (d *Dat) Sync() error {
-	if err := hpx.WaitAll(d.state.current()...); err != nil {
+	if err := d.state.fence(); err != nil {
 		return err
 	}
 	if d.flush != nil {
@@ -223,7 +237,7 @@ func (d *Dat) SetFlush(fn func() error) { d.flush = fn }
 // resident storage) it degenerates to the fence alone: Data is always
 // authoritative there.
 func (d *Dat) Rescatter() error {
-	if err := hpx.WaitAll(d.state.current()...); err != nil {
+	if err := d.state.fence(); err != nil {
 		return err
 	}
 	if d.scatter != nil {
@@ -337,7 +351,7 @@ func (g *Global) Set(values []float64) error {
 // global, including loops on an engine that applies reductions outside
 // the version chain (see SetFlush).
 func (g *Global) Sync() error {
-	if err := hpx.WaitAll(g.state.current()...); err != nil {
+	if err := g.state.fence(); err != nil {
 		return err
 	}
 	if g.flush != nil {

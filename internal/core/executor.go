@@ -171,8 +171,7 @@ func (ex *Executor) RunCtx(ctx context.Context, l *Loop) error {
 		}
 		// The chain entry this failure records must not resolve before
 		// the dependencies beneath it have drained; issueFailAfterDeps
-		// resolves it through continuations on the stragglers instead of
-		// the drain goroutine failAfterDeps used to park.
+		// resolves it through continuations on the stragglers.
 		cl.issueFailAfterDeps(ctx, err, hard, ordering)
 		return err
 	}
@@ -278,27 +277,10 @@ func classifyResources(args []Arg) []stepRes {
 	return resources
 }
 
-// gatherDepsInto appends the chain futures the resources' version chains
-// require to caller-owned buffers, split into hard and ordering-only
-// dependencies (see classifyResources).
-func gatherDepsInto(resources []stepRes, hard, ordering []*chainHandle) ([]*chainHandle, []*chainHandle) {
-	for _, r := range resources {
-		acc := Read
-		if r.writes {
-			acc = RW
-		}
-		if r.hard {
-			hard = r.state.appendDependencies(acc, hard)
-		} else {
-			ordering = r.state.appendDependencies(acc, ordering)
-		}
-	}
-	return hard, ordering
-}
-
 // recordResources installs h as every resource's new version; it is the
-// only code that puts a chain future into a version chain. Gathering and recording happen before an
-// issue call returns, so the DAG reflects program order.
+// only code that puts a chain future into a version chain. Gathering
+// and recording happen before an issue call returns, so the DAG
+// reflects program order.
 func recordResources(resources []stepRes, h *chainHandle) {
 	for _, r := range resources {
 		acc := Read

@@ -273,13 +273,25 @@ type issuePool struct {
 	hard, ordering []*chainHandle
 }
 
-// gather collects the chain futures res depends on into the pool's
-// buffers — zero allocations once they have grown to the steady-state
-// dependency count.
+// gather collects the chain futures the version chains of res require
+// into the pool's buffers, split into hard and ordering-only
+// dependencies (see classifyResources) — zero allocations once the
+// buffers have grown to the steady-state dependency count.
 //
 //op2:noalloc
 func (p *issuePool) gather(res []stepRes) (hard, ordering []*chainHandle) {
-	p.hard, p.ordering = gatherDepsInto(res, p.hard[:0], p.ordering[:0])
+	p.hard, p.ordering = p.hard[:0], p.ordering[:0]
+	for _, r := range res {
+		acc := Read
+		if r.writes {
+			acc = RW
+		}
+		if r.hard {
+			p.hard = r.state.appendDependencies(acc, p.hard)
+		} else {
+			p.ordering = r.state.appendDependencies(acc, p.ordering)
+		}
+	}
 	return p.hard, p.ordering
 }
 
@@ -468,14 +480,6 @@ func (is *issueState) record() {
 	}
 }
 
-//op2:noalloc
-func (is *issueState) signalWake() {
-	select {
-	case is.wake <- struct{}{}:
-	default:
-	}
-}
-
 // noteCancel latches every member's abort verdict and fails its user
 // future promptly; the chain futures are left to the dependency drain.
 func (is *issueState) noteCancel(cerr error) {
@@ -559,7 +563,10 @@ func (is *issueState) settle(i int, err error) {
 //
 //op2:noalloc
 func (is *issueState) done() {
-	is.signalWake()
+	select {
+	case is.wake <- struct{}{}:
+	default:
+	}
 	is.release()
 }
 
