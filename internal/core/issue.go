@@ -85,7 +85,7 @@ type depNode struct {
 }
 
 // depWaiter tracks the outstanding dependencies of one issue through
-// intrusive continuations. begin/subscribe/finish run on the issuing
+// intrusive continuations. begin/await/finish run on the issuing
 // goroutine; fired callbacks run on resolver goroutines. The guard
 // reference taken by begin guarantees depsReady cannot fire before
 // subscription is complete — finish releases it, after which the owner
@@ -148,21 +148,6 @@ func (dw *depWaiter) await(l *hpx.LCO) {
 		dw.remaining.Add(-1)
 	}
 }
-
-// subscribe awaits every chain future of hs.
-//
-//op2:noalloc
-func (dw *depWaiter) subscribe(hs []*chainHandle) {
-	for _, h := range hs {
-		dw.await(&h.lco)
-	}
-}
-
-// markHard records that every node subscribed so far guards a hard
-// dependency; later subscriptions are ordering-only.
-//
-//op2:noalloc
-func (dw *depWaiter) markHard() { dw.nhard = dw.nsub }
 
 // finish releases the subscription guard; if every dependency already
 // fired, depsReady runs inline on the issuing goroutine.
@@ -460,12 +445,20 @@ func (cl *CompiledLoop) issueFailAfterDeps(ctx context.Context, err error, hard,
 	is.dw.finish()
 }
 
+// subscribe awaits the unit's hard dependencies, then its ordering-only
+// ones (see firstHardErr).
+//
 //op2:noalloc
 func (is *issueState) subscribe(hard, ordering []*chainHandle) {
-	is.dw.begin()
-	is.dw.subscribe(hard)
-	is.dw.markHard()
-	is.dw.subscribe(ordering)
+	dw := &is.dw
+	dw.begin()
+	for _, h := range hard {
+		dw.await(&h.lco)
+	}
+	dw.nhard = dw.nsub
+	for _, h := range ordering {
+		dw.await(&h.lco)
+	}
 }
 
 // record installs every member's chain future as its resources' new
@@ -586,12 +579,6 @@ type stepIssue struct {
 	refs  atomic.Int32
 }
 
-func newStepIssue(sp *StepPlan) *stepIssue {
-	si := &stepIssue{sp: sp}
-	si.dw.owner = si
-	return si
-}
-
 func (si *stepIssue) release() {
 	if si.refs.Add(-1) == 0 {
 		if settledOK(&si.user.lco) {
@@ -626,7 +613,8 @@ func (si *stepIssue) depsReady() {
 func (ex *Executor) issueStep(ctx context.Context, sp *StepPlan) Future {
 	si, _ := sp.issues.Get().(*stepIssue)
 	if si == nil {
-		si = newStepIssue(sp)
+		si = &stepIssue{sp: sp}
+		si.dw.owner = si
 	}
 	si.user.reset(si)
 	si.refs.Store(2) // completion scan + user handle
