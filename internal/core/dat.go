@@ -82,14 +82,20 @@ func (v *versionState) dropSettledReaders() {
 // growing across synchronous invocations.
 func (v *versionState) recordQuiet() {
 	v.mu.Lock()
+	v.dropAll()
+	v.mu.Unlock()
+}
+
+// dropAll empties the chain, releasing every entry's reference. Caller
+// holds v.mu.
+func (v *versionState) dropAll() {
 	v.lastWrite.release()
 	v.lastWrite = nil
-	for i, r := range v.readers {
+	for _, r := range v.readers {
 		r.release()
-		v.readers[i] = nil
 	}
+	clear(v.readers)
 	v.readers = v.readers[:0]
-	v.mu.Unlock()
 }
 
 // record registers the chain future h as the new version according to
@@ -105,13 +111,8 @@ func (v *versionState) record(acc Access, h *chainHandle) {
 		v.readers = append(v.readers, h)
 		return
 	}
-	v.lastWrite.release()
-	for i, r := range v.readers {
-		r.release()
-		v.readers[i] = nil
-	}
+	v.dropAll()
 	v.lastWrite = h
-	v.readers = v.readers[:0]
 }
 
 // fence waits for every outstanding entry — the fence a host-side access
