@@ -187,16 +187,6 @@ func (ex *Executor) RunCtx(ctx context.Context, l *Loop) error {
 	return nil
 }
 
-// allReady reports whether every chain future has already resolved.
-func allReady(hs []*chainHandle) bool {
-	for _, h := range hs {
-		if !h.Ready() {
-			return false
-		}
-	}
-	return true
-}
-
 // RunAsync issues the loop asynchronously under the dataflow backend and
 // returns its completion future. The loop body starts as soon as the
 // futures of every dat and global it accesses are ready (Fig. 8); its own
@@ -312,45 +302,14 @@ func recordResourcesQuiet(resources []stepRes) {
 // be executing — the caller must record the loop's failure through
 // issueFailAfterDeps, never as a resolved chain future.
 func waitDeps(ctx context.Context, hard, ordering []*chainHandle) error {
-	if ctx.Done() == nil || (allReady(hard) && allReady(ordering)) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// A purely write-ordered predecessor may have failed; execution
-		// order is satisfied and the data will be overwritten — don't
-		// propagate.
-		waitChains(ordering)
-		return waitChains(hard)
-	}
-	// A cancellable wait on pending dependencies may outlive this call
-	// (WaitAllCtx drains stragglers in the background), so it waits on
-	// private copies and the caller's reusable buffers stay its own.
-	if err := hpx.WaitAllCtx(ctx, waiters(ordering)...); err != nil {
+	if err := hpx.WaitAllCtx(ctx, ordering...); err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
+		// A purely write-ordered predecessor failed; execution order is
+		// satisfied and the data will be overwritten — don't propagate.
 	}
-	return hpx.WaitAllCtx(ctx, waiters(hard)...)
-}
-
-// waitChains waits for every chain future and returns the first error.
-func waitChains(hs []*chainHandle) error {
-	var first error
-	for _, h := range hs {
-		if err := h.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// waiters copies chain futures into a fresh []hpx.Waiter.
-func waiters(hs []*chainHandle) []hpx.Waiter {
-	ws := make([]hpx.Waiter, len(hs))
-	for i, h := range hs {
-		ws[i] = h
-	}
-	return ws
+	return hpx.WaitAllCtx(ctx, hard...)
 }
 
 // executeCtx runs the loop body to completion on the configured pool,

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrPromiseAbandoned is the error observed by a future whose promise was
@@ -207,10 +208,14 @@ func WhenAll(ws ...Waiter) *Future[struct{}] {
 }
 
 // WaitAll blocks until every input is ready and returns the first error.
-func WaitAll(ws ...Waiter) error {
+func WaitAll(ws ...Waiter) error { return waitAll(ws) }
+
+// waitAll is WaitAll over any waiter element type; nil interface inputs
+// are skipped.
+func waitAll[W Waiter](ws []W) error {
 	var firstErr error
 	for _, w := range ws {
-		if w == nil {
+		if any(w) == nil {
 			continue
 		}
 		if err := w.Wait(); err != nil && firstErr == nil {
@@ -223,15 +228,17 @@ func WaitAll(ws ...Waiter) error {
 // WaitAllCtx is WaitAll racing a context: it returns ctx.Err() as soon as
 // the context is done, even if some inputs are still pending. The inputs
 // keep resolving on their own; only this wait is abandoned (a goroutine
-// drains the stragglers in the background).
-func WaitAllCtx(ctx context.Context, ws ...Waiter) error {
+// drains the stragglers in the background, over its own copy of ws, so
+// the caller may reuse ws once the call returns). Inputs that are all
+// ready, or a ctx that can never be done, cost no allocation.
+func WaitAllCtx[W Waiter](ctx context.Context, ws ...W) error {
 	if ctx == nil || ctx.Done() == nil {
-		return WaitAll(ws...)
+		return waitAll(ws)
 	}
 	// Fast path: everything already resolved — no goroutine needed.
 	ready := true
 	for _, w := range ws {
-		if w != nil && !w.Ready() {
+		if any(w) != nil && !w.Ready() {
 			ready = false
 			break
 		}
@@ -240,10 +247,11 @@ func WaitAllCtx(ctx context.Context, ws ...Waiter) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return WaitAll(ws...)
+		return waitAll(ws)
 	}
+	pending := slices.Clone(ws)
 	done := make(chan error, 1)
-	go func() { done <- WaitAll(ws...) }()
+	go func() { done <- waitAll(pending) }()
 	select {
 	case err := <-done:
 		return err

@@ -136,6 +136,10 @@ type Drainer interface {
 	DrainCheckpoint() error
 }
 
+// DefaultInFlightSteps is the issue-ahead cap a job runs at when
+// neither its Spec nor the service's Config sets one.
+const DefaultInFlightSteps = 8
+
 // Config bounds the service.
 type Config struct {
 	// MaxResidentJobs is how many jobs hold live runtimes and issue
@@ -145,7 +149,7 @@ type Config struct {
 	// slot (default 64). Beyond it Submit rejects with ErrQueueFull.
 	MaxQueuedJobs int
 	// DefaultMaxInFlightSteps is the per-job issue-ahead cap applied
-	// when a spec does not set its own (default 8).
+	// when a spec does not set its own (default DefaultInFlightSteps).
 	DefaultMaxInFlightSteps int
 	// StartWorkers is how many goroutines build job runtimes (Spec.Start)
 	// concurrently (default 2). Starts never run on the scheduler
@@ -286,7 +290,7 @@ func New(cfg Config) *Service {
 		cfg.MaxQueuedJobs = 64
 	}
 	if cfg.DefaultMaxInFlightSteps <= 0 {
-		cfg.DefaultMaxInFlightSteps = 8
+		cfg.DefaultMaxInFlightSteps = DefaultInFlightSteps
 	}
 	if cfg.StartWorkers <= 0 {
 		cfg.StartWorkers = 2
