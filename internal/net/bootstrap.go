@@ -128,9 +128,10 @@ func (t *Transport) Start(ctx context.Context) error {
 			return bootErr(fmt.Errorf("net: rank %d barrier canceled: %w", t.rank, ctx.Err()))
 		case <-deadline.C:
 			return bootErr(fmt.Errorf("net: rank %d barrier: %d rank(s) missing", t.rank, t.n-1-len(seen)))
-		}
-		if err := t.failure(); err != nil {
-			return bootErr(fmt.Errorf("net: rank %d barrier: %w", t.rank, err))
+		case <-t.mb.Dead():
+			// A connection failed before its peer's barrier token came
+			// (a writer stalled on its first frame, a peer that died).
+			return bootErr(fmt.Errorf("net: rank %d barrier: %w", t.rank, t.mb.Err()))
 		}
 	}
 
@@ -304,7 +305,7 @@ func (t *Transport) readHello(c net.Conn) (int, error) {
 }
 
 // reader is the per-connection read goroutine: it decodes frames,
-// stamps liveness, and demuxes payloads into the inboxes. Every exit
+// stamps liveness, and delivers payloads into the mailbox. Every exit
 // path is classified — GOODBYE-then-EOF is a clean peer exit, EOF
 // without GOODBYE is a crashed peer (dist.ErrRankFailed), a malformed
 // frame is dist.ErrHaloCorrupt, an ABORT carries the peer's poisoning

@@ -96,43 +96,3 @@ func decodeFloats(dst []float64, raw []byte) []float64 {
 	}
 	return dst
 }
-
-// ring is a growable FIFO over a reusable backing array (the same
-// shape dist uses for its pair queues): steady-state push/pop cycles
-// recycle slots instead of re-appending into a slid slice.
-type ring[T any] struct {
-	buf  []T
-	head int
-	n    int
-}
-
-func (r *ring[T]) len() int { return r.n }
-
-func (r *ring[T]) push(v T) {
-	if r.n == len(r.buf) {
-		grown := make([]T, maxInt(4, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf = grown
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-}
-
-func (r *ring[T]) pop() T {
-	var zero T
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"op2hpx/internal/dist"
-	"op2hpx/internal/hpx"
 	"op2hpx/internal/obs"
 )
 
@@ -97,7 +96,7 @@ type poolHooks struct {
 // peerConn is one established connection to a peer rank: a writer
 // goroutine draining an outbound frame queue (heartbeats ride the same
 // goroutine, so conn writes never interleave) and a reader goroutine
-// demuxing inbound frames into the per-channel inboxes.
+// demuxing inbound frames into the transport's mailbox.
 type peerConn struct {
 	rank int
 	conn net.Conn
@@ -112,46 +111,15 @@ type peerConn struct {
 
 	lastRecv   atomic.Int64 // unix nanos of the last frame (any type) read
 	sawGoodbye atomic.Bool
-	exited     bool // under t.inboxMu: peer sent GOODBYE; no further messages will come
 }
 
-// pairQueue is one (channel, src) inbox: the FIFO of undelivered
-// payloads and the FIFO of posted-but-unmatched receives. At most one
-// of the two is non-empty at any time (same invariant as dist.Comm).
-type pairQueue struct {
-	msgs    ring[[]float64]
-	waiting ring[*recvFut]
-}
-
-// recvFut is the pooled RecvFuture (mirror of dist.Comm's).
-type recvFut struct {
-	lco hpx.LCO
-	msg []float64
-	t   *Transport
-}
-
-func (f *recvFut) Wait() error { return f.lco.Wait() }
-func (f *recvFut) Ready() bool { return f.lco.Ready() }
-
-func (f *recvFut) Get() ([]float64, error) {
-	err := f.lco.Wait()
-	return f.msg, err
-}
-
-// Done exposes the completion channel for select-based waits.
-func (f *recvFut) Done() <-chan struct{} { return f.lco.Done() }
-
-func (f *recvFut) Release() {
-	f.msg = nil
-	f.lco.ResetFresh()
-	f.t.futs.Put(f)
-}
-
-// Transport is the TCP rank transport. Build with New (binds the
-// listener), bootstrap with Start (rendezvous + HELLO + barrier), hand
-// to the engine (it detects dist.RankedTransport and enters SPMD mode),
-// and Close for a clean GOODBYE teardown. All methods are safe for
-// concurrent use.
+// Transport is the TCP rank transport: a halo+ctl dist.Mailbox behind
+// the wire. Connection readers deliver decoded frames into the mailbox,
+// receives are posted on it, and its poison is the transport's failure
+// state. Build with New (binds the listener), bootstrap with Start
+// (rendezvous + HELLO + barrier), hand to the engine (it detects
+// dist.RankedTransport and enters SPMD mode), and Close for a clean
+// GOODBYE teardown. All methods are safe for concurrent use.
 type Transport struct {
 	cfg  Config
 	rank int
@@ -159,17 +127,11 @@ type Transport struct {
 	ln   net.Listener
 
 	peers []*peerConn // by rank; nil at self (and everywhere when n == 1)
-
-	inboxMu sync.Mutex
-	inbox   [nChans][]pairQueue // [channel][src]
-	futs    sync.Pool           // *recvFut
+	mb    *dist.Mailbox
 
 	pool   atomic.Pointer[poolHooks]
 	frames dist.Pool[byte] // outbound wire frames, returned by the writers
 
-	broken  atomic.Bool
-	errMu   sync.Mutex
-	err     error
 	started atomic.Bool
 	closed  atomic.Bool
 	closeMu sync.Mutex
@@ -243,11 +205,9 @@ func New(cfg Config) (*Transport, error) {
 		n:         n,
 		ln:        cfg.Listener,
 		peers:     make([]*peerConn, n),
+		mb:        dist.NewMailbox(nChans, n),
 		barrierCh: make(chan int, n),
 		stopProbe: make(chan struct{}),
-	}
-	for c := 0; c < nChans; c++ {
-		t.inbox[c] = make([]pairQueue, n)
 	}
 	if t.ln == nil && n > 1 {
 		ln, err := net.Listen("tcp", cfg.Peers[cfg.Rank])
@@ -327,21 +287,6 @@ func (t *Transport) BindBufferPool(get func(rank, n int) []float64, put func(ran
 	t.pool.Store(&poolHooks{get: get, put: put})
 }
 
-func (t *Transport) getFut() *recvFut {
-	f, _ := t.futs.Get().(*recvFut)
-	if f == nil {
-		f = &recvFut{t: t}
-	}
-	return f
-}
-
-// failure reads the poisoning cause (nil while healthy).
-func (t *Transport) failure() error {
-	t.errMu.Lock()
-	defer t.errMu.Unlock()
-	return t.err
-}
-
 // Send implements dist.Transport: frame the payload onto dst's writer
 // queue and recycle the pooled message buffer. Never blocks; a full
 // queue is dist.ErrCommOverflow and poisons the transport.
@@ -363,8 +308,8 @@ func (t *Transport) send(ch int, src, dst int, payload []float64, recycle bool) 
 	if dst < 0 || dst >= t.n || dst == t.rank {
 		return fmt.Errorf("net: send %d→%d: no such peer", src, dst)
 	}
-	if t.broken.Load() {
-		return fmt.Errorf("net: send %d→%d on poisoned transport: %w", src, dst, t.failure())
+	if err := t.mb.Err(); err != nil {
+		return fmt.Errorf("net: send %d→%d on poisoned transport: %w", src, dst, err)
 	}
 	p := t.peers[dst]
 	if p == nil {
@@ -384,7 +329,7 @@ func (t *Transport) send(ch int, src, dst int, payload []float64, recycle bool) 
 	if p.closing {
 		p.mu.Unlock()
 		t.frames.Put(b)
-		if err := t.failure(); err != nil {
+		if err := t.mb.Err(); err != nil {
 			return fmt.Errorf("net: send %d→%d on poisoned transport: %w", src, dst, err)
 		}
 		return fmt.Errorf("net: send %d→%d on closed transport", src, dst)
@@ -415,112 +360,41 @@ func (t *Transport) Recv(dst, src int) dist.RecvFuture { return t.recv(chHalo, d
 func (t *Transport) RecvCtl(dst, src int) dist.RecvFuture { return t.recv(chCtl, dst, src) }
 
 func (t *Transport) recv(ch int, dst, src int) dist.RecvFuture {
-	f := t.getFut()
 	if dst != t.rank || src < 0 || src >= t.n || src == dst {
-		f.lco.Resolve(fmt.Errorf("net: recv %d←%d: not a peer pair of the process hosting rank %d", dst, src, t.rank))
-		return f
+		return t.mb.Fail(fmt.Errorf("net: recv %d←%d: not a peer pair of the process hosting rank %d", dst, src, t.rank))
 	}
-	t.inboxMu.Lock()
-	if t.broken.Load() {
-		err := t.failure()
-		t.inboxMu.Unlock()
-		f.lco.Resolve(fmt.Errorf("net: recv %d←%d aborted: %w", dst, src, err))
-		return f
-	}
-	q := &t.inbox[ch][src]
-	if q.msgs.len() > 0 && q.waiting.len() == 0 {
-		msg := q.msgs.pop()
-		t.inboxMu.Unlock()
-		f.msg = msg
-		f.lco.Resolve(nil)
-		return f
-	}
-	if p := t.peers[src]; p != nil && p.exited {
-		// The peer said GOODBYE and can never send again: a receive
-		// posted now will never resolve with data.
-		t.inboxMu.Unlock()
-		f.lco.Resolve(fmt.Errorf("%w: net: recv %d←%d: rank %d has exited", dist.ErrRankFailed, dst, src, src))
-		return f
-	}
-	q.waiting.push(f)
-	t.inboxMu.Unlock()
-	return f
+	return t.mb.Recv(ch, dst, src)
 }
 
-// deliver routes one decoded payload into its (channel, src) inbox,
-// resolving the oldest waiting receive directly when one is posted.
+// deliver hands one decoded payload to the mailbox. A poisoned mailbox
+// refuses it, and the buffer goes straight back to its pool.
 func (t *Transport) deliver(ch int, src int, msg []float64) {
-	t.inboxMu.Lock()
-	if t.broken.Load() {
-		t.inboxMu.Unlock()
+	if _, err := t.mb.Deliver(ch, t.rank, src, msg); err != nil {
 		if h := t.pool.Load(); h != nil {
 			h.put(src, msg)
 		}
-		return
 	}
-	q := &t.inbox[ch][src]
-	if q.waiting.len() > 0 {
-		f := q.waiting.pop()
-		t.inboxMu.Unlock()
-		f.msg = msg
-		f.lco.Resolve(nil)
-		return
-	}
-	q.msgs.push(msg)
-	t.inboxMu.Unlock()
 }
 
-// failedRecv pairs a poisoned waiting receive with its pair identity.
-type failedRecv struct {
-	f   *recvFut
-	src int
-}
-
-// poison marks the transport permanently broken (first cause wins),
-// resolves every waiting receive with an error wrapping the cause, and
-// starts the abort teardown: peers get an ABORT frame naming the cause,
-// so a failure converges cluster-wide within a heartbeat, not a halo
-// deadline per hop.
+// poison breaks the mailbox (dist.Mailbox.Poison: the first cause wins
+// and every waiting receive fails wrapping it) and, when this call was
+// the first, starts the abort teardown: peers get an ABORT frame naming
+// the cause, so a failure converges cluster-wide within a heartbeat, not
+// a halo deadline per hop.
 func (t *Transport) poison(cause error) {
-	if cause == nil {
-		cause = fmt.Errorf("transport poisoned")
-	}
-	t.errMu.Lock()
-	if t.err != nil {
-		t.errMu.Unlock()
+	if !t.mb.Poison(cause) || !t.started.Load() {
 		return
 	}
-	t.err = cause
-	t.errMu.Unlock()
-
-	t.inboxMu.Lock()
-	t.broken.Store(true)
-	var failed []failedRecv
-	for c := 0; c < nChans; c++ {
-		for src := range t.inbox[c] {
-			q := &t.inbox[c][src]
-			for q.waiting.len() > 0 {
-				failed = append(failed, failedRecv{f: q.waiting.pop(), src: src})
+	abort := []byte(t.mb.Err().Error())
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		for _, p := range t.peers {
+			if p != nil {
+				p.close(abort)
 			}
 		}
-	}
-	t.inboxMu.Unlock()
-	for _, fr := range failed {
-		fr.f.lco.Resolve(fmt.Errorf("net: recv %d←%d aborted: %w", t.rank, fr.src, cause))
-	}
-
-	if t.started.Load() {
-		abort := []byte(cause.Error())
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for _, p := range t.peers {
-				if p != nil {
-					p.close(abort)
-				}
-			}
-		}()
-	}
+	}()
 }
 
 // Poison implements dist.Poisoner: the engine escalates a permanent
@@ -656,7 +530,7 @@ func (t *Transport) writer(p *peerConn) {
 // liveness class); anything else mid-run is a dead peer
 // (dist.ErrRankFailed). During or after teardown it is expected noise.
 func (t *Transport) connLost(p *peerConn, op string, err error) {
-	if t.closed.Load() || t.broken.Load() || p.sawGoodbye.Load() {
+	if t.closed.Load() || t.mb.Err() != nil || p.sawGoodbye.Load() {
 		return
 	}
 	p.mu.Lock()
@@ -690,7 +564,7 @@ func (t *Transport) prober() {
 			return
 		case <-tick.C:
 		}
-		if t.closed.Load() || t.broken.Load() {
+		if t.closed.Load() || t.mb.Err() != nil {
 			return
 		}
 		now := time.Now()
@@ -712,18 +586,12 @@ func (t *Transport) prober() {
 }
 
 // peerGoodbye handles a GOODBYE frame: the peer exited after a clean
-// run. If we still have receives posted against it, its "clean" exit is
-// our rank failure — it finished (or tore down after a local failure)
-// while we expected more data.
+// run, so the mailbox closes its source (later receives from it fail
+// with dist.ErrRankFailed). If receives were already posted against it,
+// its "clean" exit is our rank failure — it finished (or tore down after
+// a local failure) while we expected more data.
 func (t *Transport) peerGoodbye(p *peerConn) {
-	t.inboxMu.Lock()
-	p.exited = true
-	pending := 0
-	for c := 0; c < nChans; c++ {
-		pending += t.inbox[c][p.rank].waiting.len()
-	}
-	t.inboxMu.Unlock()
-	if pending > 0 && !t.closed.Load() {
+	if pending := t.mb.Exit(p.rank); pending > 0 && !t.closed.Load() {
 		t.poison(fmt.Errorf("%w: net: rank %d exited with %d receives pending against it",
 			dist.ErrRankFailed, p.rank, pending))
 	}

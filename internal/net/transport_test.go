@@ -310,6 +310,18 @@ func TestTCPStalledWriter(t *testing.T) {
 	failWithin(t, outs, op2.ErrHaloTimeout)
 }
 
+// TestTCPStalledBarrier: a writer that stalls on its first frame — the
+// bootstrap barrier token — fails that rank's link by write deadline,
+// and the peer still waiting in the barrier must fail with it, typed,
+// instead of waiting out the whole bootstrap window.
+func TestTCPStalledBarrier(t *testing.T) {
+	outs := runFaulted(t, fault.SocketRule{Local: 1, Peer: 0, Action: fault.SockStall, AfterWrites: 0}, 50)
+	failWithin(t, outs, op2.ErrHaloTimeout)
+	if !errors.Is(outs[0].err, op2.ErrRankFailed) || !strings.Contains(outs[0].err.Error(), "barrier") {
+		t.Fatalf("rank 0 should fail in the barrier with its lost link, got: %v", outs[0].err)
+	}
+}
+
 // TestTCPBootstrapValidation: mismatched partition metadata must refuse
 // the rendezvous — two daemons from different job configurations can
 // never exchange halo state.
