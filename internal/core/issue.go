@@ -542,13 +542,15 @@ func (is *issueState) exec() {
 
 // settle resolves member i's futures with its verdict. The user future
 // may already have been failed promptly by the monitor; the chain future
-// has exactly one resolver.
+// has exactly one resolver. The user future goes first: resolving the
+// chain releases successors and host fences (Dat.Sync), and a caller
+// that saw a fence pass must find the loop's own future ready too.
 //
 //op2:noalloc
 func (is *issueState) settle(i int, err error) {
 	m := &is.members[i]
-	m.chain.lco.Resolve(err)
 	m.user.lco.TryResolve(err)
+	m.chain.lco.Resolve(err)
 }
 
 // done ends the cycle once every member has settled: it wakes the
@@ -587,10 +589,12 @@ func (si *stepIssue) release() {
 	}
 }
 
-// depsReady: every awaited occurrence has resolved. All member chains
-// have therefore resolved (each non-sink member has a successor that
-// waited for it), so the in-order scan below blocks at most on the tiny
-// window between a member's chain and user resolutions.
+// depsReady: every awaited occurrence has resolved. Every member has
+// therefore settled (each non-sink member has a successor that waited
+// for its chain, and settle resolves a user future before its chain), so
+// the in-order scan below finds every handle resolved. Only cancellation
+// fails a user future before its dependencies drain; then the scan waits
+// for a predecessor still draining.
 func (si *stepIssue) depsReady() {
 	var firstErr error
 	for _, h := range si.users {

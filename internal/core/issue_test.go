@@ -116,3 +116,45 @@ func TestStepCompileFailureJoinsIssuedMembers(t *testing.T) {
 		}
 	}
 }
+
+// TestHostFenceImpliesLoopFutureReady pins the resolution order of a
+// settling loop: its user future resolves before its chain future. The
+// chain is what host fences (Dat.Sync) and successors wait on, so
+// resolving it last means a caller that saw the fence pass can never
+// find the loop's own future still pending. A continuation on the chain
+// runs on the resolving goroutine, inside the resolution, which makes
+// the check deterministic.
+func TestHostFenceImpliesLoopFutureReady(t *testing.T) {
+	cells, _ := DeclSet(16, "cells")
+	d, _ := DeclDat(cells, 1, nil, "d")
+	ex := NewExecutor(Config{Backend: Dataflow, Chunker: hpx.StaticChunker(1 << 20)})
+	hold := make(chan struct{})
+	w := &Loop{Name: "w", Set: cells,
+		Args: []Arg{ArgDat(d, IDIdx, nil, Write)},
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
+			<-hold
+			for i := lo; i < hi; i++ {
+				d.data[i] = 1
+			}
+		})}
+	fut := ex.RunAsync(w)
+
+	d.state.mu.Lock()
+	chain := d.state.lastWrite
+	d.state.mu.Unlock()
+	if chain == nil {
+		t.Fatal("the issued loop recorded no chain future on d")
+	}
+	readyAtFence := make(chan bool, 1)
+	c := &hpx.Continuation{Fire: func(error) { readyAtFence <- fut.Ready() }}
+	if !chain.lco.Subscribe(c) {
+		t.Fatal("chain future resolved while the kernel was held")
+	}
+	close(hold)
+	if !<-readyAtFence {
+		t.Fatal("the chain future resolved before the loop's own future: a host fence can pass while the loop future reads not ready")
+	}
+	if err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
