@@ -257,8 +257,9 @@ func BenchmarkDistributedRanks(b *testing.B) {
 }
 
 // BenchmarkAirfoilDistributed sweeps the distributed airfoil across
-// ranks × partitioner — the subsystem's headline benchmark, recorded as
-// BENCH_distributed.json by `cmd/experiments -exp dist -json`.
+// ranks × partitioner — the subsystem's headline benchmark. The
+// measured numbers live in the benchmark module (benchmark/:
+// airfoil_ranks, airfoil_tcp and the dist.* per-layer metrics).
 func BenchmarkAirfoilDistributed(b *testing.B) {
 	for _, name := range []string{"block", "rcb", "greedy"} {
 		p, err := op2.PartitionerByName(name)
@@ -374,8 +375,8 @@ func BenchmarkStep(b *testing.B) {
 // compiled-loop executor and step-level direct-loop fusion: a single
 // direct Body loop (the 0 allocs/op hot path), and the airfoil timestep
 // with the Step graph (fused) versus loop-at-a-time issue. Run with
-// -benchmem: allocs/op is the headline number — recorded as
-// BENCH_hotpath.json by `cmd/experiments -exp hotpath -json`.
+// -benchmem: allocs/op is the headline number; the benchmark module
+// (benchmark/) records it as op2.allocs_per_step.
 func BenchmarkHotPath(b *testing.B) {
 	for _, backend := range []op2.Backend{op2.Serial, op2.Dataflow} {
 		b.Run("direct-loop/"+backend.String(), func(b *testing.B) {
@@ -446,7 +447,8 @@ func BenchmarkHotPath(b *testing.B) {
 // timestep issued with step.Async on the Dataflow backend, and the same
 // pipelined timestep on a distributed runtime at 2 ranks. Run with
 // -benchmem: allocs/op per issue (ping-pong) or per timestep
-// (pipelines) is the headline number, recorded in BENCH_hotpath.json.
+// (pipelines) is the headline number, recorded by the benchmark module
+// (benchmark/) as op2.allocs_per_step.
 func BenchmarkHotPathAsync(b *testing.B) {
 	ctx := context.Background()
 	for _, backend := range []op2.Backend{op2.Serial, op2.Dataflow} {
@@ -562,8 +564,8 @@ func BenchmarkService(b *testing.B) {
 // off (one nil check per loop), with a metrics registry attached
 // (latency histograms + step counters, zero allocations per observe)
 // and with metrics plus span tracing. The acceptance bar is
-// single-digit percent overhead for the metrics mode — recorded as
-// BENCH_obs.json by `cmd/experiments -exp obs -json`.
+// single-digit percent overhead for the metrics mode; the benchmark
+// module (benchmark/) records obs.traced_over_untraced.
 func BenchmarkObs(b *testing.B) {
 	modes := []struct {
 		name string

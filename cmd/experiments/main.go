@@ -8,13 +8,13 @@
 //	experiments -exp fig17       # one experiment
 //	experiments -paper           # the paper's mesh scale (~720K nodes)
 //	experiments -reps 5 -iters 20
-//	experiments -exp dist -json BENCH_distributed.json
+//
+// Machine-readable results come from the benchmark module (benchmark/).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 
@@ -32,7 +32,6 @@ func main() {
 func run() error {
 	var (
 		exp        = flag.String("exp", "all", "experiment: all, table1, fig15, fig16, fig17, fig18, fig19, fig20, dist, step, hotpath, service, obs")
-		jsonOut    = flag.String("json", "", "also write machine-readable results to this file (dist, step, hotpath, service and obs experiments only)")
 		paper      = flag.Bool("paper", false, "paper-scale workload (~720K mesh nodes; minutes per figure)")
 		nx         = flag.Int("nx", 0, "override mesh cells in x")
 		ny         = flag.Int("ny", 0, "override mesh cells in y")
@@ -71,61 +70,6 @@ func run() error {
 		}
 		return err
 	}
-	if *exp == "dist" && *jsonOut != "" {
-		rep, err := experiments.DistData(o)
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		experiments.DistTable(rep).Render(os.Stdout)
-		return nil
-	}
-	if *exp == "step" && *jsonOut != "" {
-		rep, err := experiments.StepData(o)
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		experiments.StepTable(rep).Render(os.Stdout)
-		return nil
-	}
-	if *exp == "hotpath" && *jsonOut != "" {
-		rep, err := experiments.HotPathData(o)
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		experiments.HotPathTable(rep).Render(os.Stdout)
-		return nil
-	}
-	if *exp == "service" && *jsonOut != "" {
-		rep, err := experiments.ServiceData(o)
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		experiments.ServiceTable(rep).Render(os.Stdout)
-		return nil
-	}
-	if *exp == "obs" && *jsonOut != "" {
-		rep, err := experiments.ObsData(o)
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		experiments.ObsTable(rep).Render(os.Stdout)
-		return nil
-	}
 	fn, ok := experiments.ByName(*exp)
 	if !ok {
 		return fmt.Errorf("unknown experiment %q", *exp)
@@ -135,19 +79,5 @@ func run() error {
 		return err
 	}
 	tab.Render(os.Stdout)
-	return nil
-}
-
-// writeJSON writes one report through its WriteJSON method.
-func writeJSON(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
 	return nil
 }

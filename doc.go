@@ -36,7 +36,7 @@
 // timestep costs a few allocations (down from ~112), and distributed
 // timesteps pack every halo message into per-rank pooled buffers
 // (Runtime.HaloBufferStats observes the reuse). The regressions are
-// enforced by tests and recorded in BENCH_hotpath.json.
+// enforced by tests and measured by the benchmark module (benchmark/).
 //
 // op2.WithRanks(n) switches a runtime to the owner-compute distributed
 // engine: sets are partitioned across n simulated localities
@@ -76,7 +76,7 @@
 // op2.WithMaxInFlightSteps is the single-runtime knob) providing
 // backpressure and fairness. Concurrent jobs on mixed backends and rank
 // counts stay bitwise-identical to serial runs (internal/service,
-// cmd/op2serve, BENCH_service.json).
+// cmd/op2serve, the benchmark's service_jobs workload).
 //
 // The runtime is fault-tolerant end to end. internal/fault injects
 // deterministic, scriptable transport faults (drop / delay / duplicate

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -19,25 +17,25 @@ var DistRanks = []int{1, 2, 4, 8}
 // a (partitioner, ranks) pair with its timing, partition quality and
 // bitwise-equality verdict against the serial backend.
 type DistPoint struct {
-	Partitioner string  `json:"partitioner"`
-	Ranks       int     `json:"ranks"`
-	MeanMs      float64 `json:"mean_ms"`
-	MinMs       float64 `json:"min_ms"`
-	Speedup     float64 `json:"speedup_vs_1_rank"`
-	EdgeCut     int     `json:"edge_cut"`
-	HaloCells   int     `json:"halo_cells"`
-	Imbalance   float64 `json:"imbalance"`
-	Bitwise     bool    `json:"bitwise_vs_serial"`
+	Partitioner string
+	Ranks       int
+	MeanMs      float64
+	MinMs       float64
+	Speedup     float64
+	EdgeCut     int
+	HaloCells   int
+	Imbalance   float64
+	Bitwise     bool
 }
 
-// DistReport is the machine-readable result of the distributed
-// experiment, written as BENCH_distributed.json by cmd/experiments.
+// DistReport is the measured result of the distributed experiment,
+// rendered by DistTable.
 type DistReport struct {
-	Experiment string      `json:"experiment"`
-	Mesh       string      `json:"mesh"`
-	Iters      int         `json:"iters"`
-	Reps       int         `json:"reps"`
-	Points     []DistPoint `json:"points"`
+	Experiment string
+	Mesh       string
+	Iters      int
+	Reps       int
+	Points     []DistPoint
 }
 
 // DistData measures the distributed airfoil across ranks × partitioner
@@ -143,11 +141,4 @@ func DistTable(rep *DistReport) *perf.Table {
 			p.Speedup, p.EdgeCut, p.HaloCells, p.Imbalance, fmt.Sprint(p.Bitwise))
 	}
 	return t
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *DistReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

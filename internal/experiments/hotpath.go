@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 
@@ -18,26 +16,25 @@ import (
 // wall time and heap allocations per iteration and the fused-group
 // count the Dataflow step executor reports.
 type HotPathPoint struct {
-	Backend       string  `json:"backend"`
-	Mode          string  `json:"mode"` // "step", "loop-at-a-time" or "step-async" (pipelined)
-	NsPerIter     float64 `json:"ns_per_iteration"`
-	AllocsPerIter float64 `json:"allocs_per_iteration"`
-	FusedPerIter  float64 `json:"fused_groups_per_iteration"`
-	Bitwise       bool    `json:"flow_field_bitwise_vs_serial"`
+	Backend       string
+	Mode          string // "step", "loop-at-a-time" or "step-async" (pipelined)
+	NsPerIter     float64
+	AllocsPerIter float64
+	FusedPerIter  float64
+	Bitwise       bool
 }
 
-// HotPathReport is the machine-readable result of the hot-path
-// experiment, written as BENCH_hotpath.json by cmd/experiments — the
-// before/after datapoint for the zero-allocation compiled-loop executor
+// HotPathReport is the measured result of the hot-path experiment,
+// rendered by HotPathTable — the before/after datapoint for the zero-allocation compiled-loop executor
 // and step-level direct-loop fusion.
 type HotPathReport struct {
-	Experiment string         `json:"experiment"`
-	Mesh       string         `json:"mesh"`
-	Iters      int            `json:"iters"`
-	Reps       int            `json:"reps"`
-	Threads    int            `json:"threads"`
-	Note       string         `json:"note"`
-	Points     []HotPathPoint `json:"points"`
+	Experiment string
+	Mesh       string
+	Iters      int
+	Reps       int
+	Threads    int
+	Note       string
+	Points     []HotPathPoint
 }
 
 // HotPathData measures the airfoil timestep's steady-state issue cost:
@@ -251,11 +248,4 @@ func HotPathTable(rep *HotPathReport) *perf.Table {
 			fmt.Sprint(p.Bitwise))
 	}
 	return t
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *HotPathReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

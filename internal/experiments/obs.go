@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 
 	"op2hpx/internal/airfoil"
@@ -15,23 +13,23 @@ import (
 // path: the pipelined Dataflow timestep with the layer off, with the
 // metrics registry attached, and with metrics plus phase tracing.
 type ObsPoint struct {
-	Mode          string  `json:"mode"`
-	NsPerIter     float64 `json:"ns_per_iteration"`
-	AllocsPerIter float64 `json:"allocs_per_iteration"`
-	OverheadPct   float64 `json:"overhead_pct_vs_off"`
+	Mode          string
+	NsPerIter     float64
+	AllocsPerIter float64
+	OverheadPct   float64
 }
 
-// ObsReport is the machine-readable result of the observability-overhead
-// experiment, written as BENCH_obs.json by cmd/experiments — the proof
+// ObsReport is the measured result of the observability-overhead
+// experiment, rendered by ObsTable — the proof
 // that the telemetry layer is effectively free on the hot path.
 type ObsReport struct {
-	Experiment string     `json:"experiment"`
-	Mesh       string     `json:"mesh"`
-	Iters      int        `json:"iters"`
-	Reps       int        `json:"reps"`
-	Threads    int        `json:"threads"`
-	Note       string     `json:"note"`
-	Points     []ObsPoint `json:"points"`
+	Experiment string
+	Mesh       string
+	Iters      int
+	Reps       int
+	Threads    int
+	Note       string
+	Points     []ObsPoint
 }
 
 // ObsData measures the cost of the observability layer on the airfoil
@@ -132,11 +130,4 @@ func ObsTable(rep *ObsReport) *perf.Table {
 		t.AddRow(p.Mode, int64(p.NsPerIter), p.AllocsPerIter, fmt.Sprintf("%.2f", p.OverheadPct))
 	}
 	return t
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *ObsReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 
@@ -17,24 +15,24 @@ import (
 // service: N concurrent airfoil jobs through one op2.Service, each on
 // its own Dataflow runtime over the shared worker pool.
 type ServicePoint struct {
-	ConcurrentJobs   int     `json:"concurrent_jobs"`
-	JobsPerSec       float64 `json:"jobs_per_second"`
-	NsPerJobIter     float64 `json:"ns_per_job_iteration"`
-	AllocsPerJobIter float64 `json:"allocs_per_job_iteration"`
-	Bitwise          bool    `json:"flow_field_bitwise_vs_serial"`
+	ConcurrentJobs   int
+	JobsPerSec       float64
+	NsPerJobIter     float64
+	AllocsPerJobIter float64
+	Bitwise          bool
 }
 
-// ServiceReport is the machine-readable result of the service
-// experiment, written as BENCH_service.json by cmd/experiments — the
+// ServiceReport is the measured result of the service experiment,
+// rendered by ServiceTable — the
 // datapoint for the simulation-as-a-service control plane.
 type ServiceReport struct {
-	Experiment string         `json:"experiment"`
-	Mesh       string         `json:"mesh"`
-	Iters      int            `json:"iters"`
-	Reps       int            `json:"reps"`
-	Threads    int            `json:"threads"`
-	Note       string         `json:"note"`
-	Points     []ServicePoint `json:"points"`
+	Experiment string
+	Mesh       string
+	Iters      int
+	Reps       int
+	Threads    int
+	Note       string
+	Points     []ServicePoint
 }
 
 // ServiceData measures simulation-service throughput at 1, 4 and 16
@@ -151,11 +149,4 @@ func ServiceTable(rep *ServiceReport) *perf.Table {
 			int64(p.NsPerJobIter), p.AllocsPerJobIter, fmt.Sprint(p.Bitwise))
 	}
 	return t
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *ServiceReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -20,24 +18,24 @@ var StepRanks = []int{2, 4, 8}
 // timestep (batched) or one loop at a time (unbatched), with halo
 // messages per iteration and wall time per iteration.
 type StepPoint struct {
-	Mode        string  `json:"mode"` // "step" or "loop-at-a-time"
-	Ranks       int     `json:"ranks"`
-	MsgsPerIter float64 `json:"messages_per_iteration"`
-	NsPerIter   float64 `json:"ns_per_iteration"`
-	MeanMs      float64 `json:"mean_ms"`
-	Bitwise     bool    `json:"bitwise_vs_serial"`
+	Mode        string // "step" or "loop-at-a-time"
+	Ranks       int
+	MsgsPerIter float64
+	NsPerIter   float64
+	MeanMs      float64
+	Bitwise     bool
 }
 
-// StepReport is the machine-readable result of the step experiment,
-// written as BENCH_step.json by cmd/experiments — the before/after
+// StepReport is the measured result of the step experiment, rendered
+// by StepTable — the before/after
 // datapoint for the Step graph API.
 type StepReport struct {
-	Experiment string      `json:"experiment"`
-	Mesh       string      `json:"mesh"`
-	Iters      int         `json:"iters"`
-	Reps       int         `json:"reps"`
-	Note       string      `json:"note"`
-	Points     []StepPoint `json:"points"`
+	Experiment string
+	Mesh       string
+	Iters      int
+	Reps       int
+	Note       string
+	Points     []StepPoint
 }
 
 // StepData measures the distributed airfoil batched (Step) versus
@@ -138,11 +136,4 @@ func StepTable(rep *StepReport) *perf.Table {
 			time.Duration(p.MeanMs*float64(time.Millisecond)), fmt.Sprint(p.Bitwise))
 	}
 	return t
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *StepReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
