@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"op2hpx/internal/hpx/sched"
 	"op2hpx/internal/obs"
@@ -26,7 +27,9 @@ import (
 //     scratch table and the persistent chunk task of the parallel
 //     region.
 //
-// A CompiledLoop is immutable after construction; all mutable
+// A CompiledLoop is immutable after construction except for
+// colorChunks, the per-color block-chunk sizes a colored loop calibrates
+// on its first execution, which is swapped atomically. All other mutable
 // per-invocation state lives in pooled loopRun values, so concurrent
 // executions of the same loop (where a backend's contract allows them)
 // are safe. Kernels are read through the Loop at invocation time, so
@@ -48,6 +51,17 @@ type CompiledLoop struct {
 	// hist caches the loop's op2_loop_seconds handle — one atomic load
 	// per execution once registered (see CompiledLoop.histFor).
 	hist atomic.Pointer[obs.Histogram]
+
+	// colorChunks holds a colored loop's calibrated chunk sizes (see
+	// Executor.runColored); nil until its first parallel execution.
+	colorChunks atomic.Pointer[colorChunkSizes]
+}
+
+// colorChunkSizes is a colored loop's block-chunk size per color,
+// valid for the pool size it was calibrated at.
+type colorChunkSizes struct {
+	workers int
+	sizes   []int
 }
 
 // compiled returns the loop's compiled artifact for this executor,
@@ -195,12 +209,15 @@ type loopRun struct {
 	cl  *CompiledLoop
 	ctx context.Context
 
-	// Reduction scratch table: slot s occupies red[s*size:(s+1)*size].
-	// Slots are indexed by chunk (plan block id for planned loops, chunk
-	// ordinal for direct loops); each range writes its own slot with no
-	// locking, and finish folds slots in ascending order — the same
-	// ascending-range combine the executor used to reconstruct with a
-	// mutex-guarded list and a sort per invocation.
+	// Reduction scratch table: slot s occupies red[s*stride:s*stride+size]
+	// (see scratchLayout). The table starts on a cache line and the
+	// stride is whole lines, so chunks running on different workers
+	// never write the same line. Slots are indexed by chunk (plan block
+	// id for planned loops, chunk ordinal for direct loops); each range
+	// writes its own slot with no locking, and finish folds slots in
+	// ascending order — the same ascending-range combine the executor
+	// used to reconstruct with a mutex-guarded list and a sort per
+	// invocation.
 	red    []float64
 	acc    []float64
 	nslots int
@@ -241,26 +258,44 @@ func newLoopRun(cl *CompiledLoop) *loopRun {
 // already-written slots (calibration writes slots before the parallel
 // phase sizes the rest). No-op for loops without reductions.
 func (lr *loopRun) ensureSlots(n int) {
-	size := lr.cl.sl.size
-	if size == 0 {
+	stride := lr.cl.sl.stride
+	if stride == 0 {
 		return
 	}
-	if want := n * size; cap(lr.red) < want {
-		grown := make([]float64, want)
+	if want := n * stride; cap(lr.red) < want {
+		grown := alignedFloats(want)
 		copy(grown, lr.red)
 		lr.red = grown
 	}
-	lr.red = lr.red[:n*size]
+	lr.red = lr.red[:n*stride]
+}
+
+// cacheLineFloats is the number of float64s in one 64-byte cache line.
+const cacheLineFloats = 8
+
+// alignedFloats returns n zeroed float64s starting on a cache line.
+func alignedFloats(n int) []float64 {
+	buf := make([]float64, n+cacheLineFloats-1)
+	off := 0
+	if mis := int(uintptr(unsafe.Pointer(&buf[0])) / 8 % cacheLineFloats); mis != 0 {
+		off = cacheLineFloats - mis
+	}
+	return buf[off : off+n : off+n]
+}
+
+// slot returns slot s of the reduction table.
+func (lr *loopRun) slot(s int) []float64 {
+	sl := &lr.cl.sl
+	return lr.red[s*sl.stride : s*sl.stride+sl.size]
 }
 
 // scratchFor initializes and returns slot s of the reduction table, or
 // nil when the loop has no reductions.
 func (lr *loopRun) scratchFor(s int) []float64 {
-	size := lr.cl.sl.size
-	if size == 0 {
+	if lr.cl.sl.size == 0 {
 		return nil
 	}
-	sc := lr.red[s*size : (s+1)*size]
+	sc := lr.slot(s)
 	copy(sc, lr.cl.sl.initv)
 	return sc
 }
@@ -292,7 +327,7 @@ func (lr *loopRun) finish() {
 	copy(acc, sl.initv)
 	args := lr.cl.l.Args
 	for s := 0; s < lr.nslots; s++ {
-		sl.combine(acc, lr.red[s*sl.size:(s+1)*sl.size], args)
+		sl.combine(acc, lr.slot(s), args)
 	}
 	sl.apply(acc, args)
 }

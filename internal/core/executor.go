@@ -56,7 +56,10 @@ type Config struct {
 	// Chunker controls chunk sizes (§IV-B). Nil defaults per backend:
 	// ForkJoin uses even static division (the OpenMP baseline), Dataflow
 	// uses auto chunk sizing. Pass a *hpx.PersistentAutoChunker shared
-	// across loops to reproduce persistent_auto_chunk_size.
+	// across loops to reproduce persistent_auto_chunk_size. Dataflow
+	// consults it on every execution of a direct loop or fused pass, but
+	// only once per color for a colored loop — on its first execution at
+	// a given pool size (see Executor.runColored).
 	Chunker hpx.Chunker
 	// BlockSize is the plan block size for indirect loops.
 	BlockSize int
@@ -551,24 +554,40 @@ func (ex *Executor) runDirect(lr *loopRun) error {
 // parallel; a barrier separates colors, exactly like OP2's OpenMP plan
 // execution in Fig. 4. Reduction scratches are slotted by block id, so
 // the ascending-slot fold reproduces the ascending-range combine.
+//
+// The chunker is consulted once per color on the loop's first execution
+// at a given pool size — a calibrating chunker probes whole blocks,
+// executed for real — and the block-chunk sizes are kept on the compiled
+// loop. Later executions dispatch each whole color with no probe; a
+// different pool size recalibrates.
 func (ex *Executor) runColored(ctx context.Context, lr *loopRun) error {
 	plan := lr.cl.plan
 	pool := ex.pool()
 	workers := pool.Size()
 	lr.ensureSlots(plan.NBlocks())
 	lr.nslots = plan.NBlocks()
+	cal := lr.cl.colorChunks.Load()
+	if cal != nil && cal.workers != workers {
+		cal = nil
+	}
+	var sizes []int
+	if cal == nil {
+		sizes = make([]int, plan.NColors())
+	}
 	for c := 0; c < plan.NColors(); c++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr // abort the nest mid-color sequence
 		}
 		blocks := plan.BlocksOfColor(c)
 		nb := len(blocks)
-		// Calibrate in whole blocks, executed for real.
 		lr.blocks = blocks
 		lr.cursor = 0
-		size := ex.cfg.Chunker.ChunkSize(nb, workers, lr.measure)
-		if size < 1 {
-			size = 1
+		var size int
+		if cal != nil {
+			size = cal.sizes[c]
+		} else {
+			size = max(ex.cfg.Chunker.ChunkSize(nb, workers, lr.measure), 1)
+			sizes[c] = size
 		}
 		if lr.cursor >= nb {
 			continue
@@ -584,5 +603,8 @@ func (ex *Executor) runColored(ctx context.Context, lr *loopRun) error {
 		}
 	}
 	lr.blocks = nil
+	if cal == nil {
+		lr.cl.colorChunks.Store(&colorChunkSizes{workers: workers, sizes: sizes})
+	}
 	return nil
 }

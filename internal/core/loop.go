@@ -201,9 +201,10 @@ func ReduceCombine(a Access, dst, src []float64) {
 // scratchLayout computes where each reducing global argument lives inside
 // the per-chunk scratch buffer.
 type scratchLayout struct {
-	size  int
-	offs  []int // per arg; -1 for non-reducing args
-	initv []float64
+	size   int
+	stride int   // size rounded up to whole cache lines: one slot's span
+	offs   []int // per arg; -1 for non-reducing args
+	initv  []float64
 }
 
 func layoutScratch(args []Arg) scratchLayout {
@@ -220,6 +221,7 @@ func layoutScratch(args []Arg) scratchLayout {
 		}
 		sl.size += dim
 	}
+	sl.stride = (sl.size + cacheLineFloats - 1) / cacheLineFloats * cacheLineFloats
 	return sl
 }
 

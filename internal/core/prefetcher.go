@@ -14,7 +14,6 @@ import (
 // indirectly accessed dat elements themselves.
 type loopPrefetcher struct {
 	unit     int // iterations per prefetch unit
-	last     int // iteration bound
 	direct   []directContainer
 	maps     []*Map
 	indirect []indirectContainer
@@ -41,7 +40,6 @@ func (ex *Executor) newLoopPrefetcher(l *Loop) *loopPrefetcher {
 	}
 	pf := &loopPrefetcher{
 		unit: d * (prefetch.CacheLineBytes / 8),
-		last: l.Set.size,
 	}
 	seenDat := map[*Dat]bool{}
 	seenMap := map[*Map]bool{}
@@ -75,9 +73,6 @@ func (ex *Executor) newLoopPrefetcher(l *Loop) *loopPrefetcher {
 // touch reads one element per cache line of every container's storage for
 // iterations [ulo, uhi).
 func (pf *loopPrefetcher) touch(ulo, uhi int) {
-	if uhi > pf.last {
-		uhi = pf.last
-	}
 	if ulo >= uhi {
 		return
 	}
@@ -106,15 +101,14 @@ func (pf *loopPrefetcher) touch(ulo, uhi int) {
 
 // run executes body over [lo, hi) in prefetch units, touching unit k+1
 // while unit k is about to execute (Fig. 13: data of the next iteration
-// step is prefetched in each iteration within the for_each).
+// step is prefetched in each iteration within the for_each). Touches
+// stay inside [lo, hi): the elements past it belong to another chunk,
+// which may be writing them on another worker.
 func (pf *loopPrefetcher) run(lo, hi int, scratch []float64, body RangeBody) {
 	unit := pf.unit
 	for ulo := lo; ulo < hi; ulo += unit {
-		uhi := ulo + unit
-		if uhi > hi {
-			uhi = hi
-		}
-		pf.touch(uhi, uhi+unit)
+		uhi := min(ulo+unit, hi)
+		pf.touch(uhi, min(uhi+unit, hi))
 		body(ulo, uhi, scratch)
 	}
 }

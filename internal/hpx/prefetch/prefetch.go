@@ -189,9 +189,6 @@ func (c *Context) Enabled() bool { return c.distance >= 1 && len(c.containers) >
 // touchUnit reads one element per cache line of [lo, hi) in every
 // container.
 func (c *Context) touchUnit(lo, hi int) {
-	if hi > c.last {
-		hi = c.last
-	}
 	if lo >= hi {
 		return
 	}
@@ -215,14 +212,14 @@ func ForEach(policy hpx.Policy, ctx *Context, body func(i int)) *hpx.Future[stru
 	n := ctx.last - ctx.first
 	nunits := (n + unit - 1) / unit
 	chunk := func(ulo, uhi int) {
+		end := min(ctx.first+uhi*unit, ctx.last)
 		for u := ulo; u < uhi; u++ {
 			lo := ctx.first + u*unit
-			hi := lo + unit
-			if hi > ctx.last {
-				hi = ctx.last
-			}
+			hi := min(lo+unit, end)
 			// Pull the next unit's lines in while this unit computes.
-			ctx.touchUnit(hi, hi+unit)
+			// The touch stops at the chunk's end: the units past it
+			// belong to another task, whose body may be writing them.
+			ctx.touchUnit(hi, min(hi+unit, end))
 			for i := lo; i < hi; i++ {
 				body(i)
 			}

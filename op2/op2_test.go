@@ -214,3 +214,41 @@ func TestFutureReadyAndWaitAll(t *testing.T) {
 // rangeOnly binds a RangeBody that captures its arrays itself; the
 // shared-memory tests using it index the declarations' host arrays.
 func rangeOnly(f op2.RangeBody) op2.Binder { return func(op2.Bind) op2.RangeBody { return f } }
+
+// TestPrefetchStaysInsideChunk runs a direct RW loop through the §V
+// prefetcher with chunks of 64 elements and 8-element prefetch units on
+// four workers. The prefetcher must not read past its own chunk: the
+// next chunk belongs to another worker, which is writing it (the race
+// detector reports the read otherwise).
+func TestPrefetchStaysInsideChunk(t *testing.T) {
+	const n, runs = 4096, 8
+	rt := op2.MustNew(op2.WithBackend(op2.Dataflow), op2.WithPoolSize(4),
+		op2.WithChunker(op2.StaticChunk(64)), op2.WithPrefetchDistance(1))
+	defer rt.Close()
+	cells := op2.MustDeclSet(n, "cells")
+	d := op2.MustDeclDat(cells, 1, nil, "d")
+	lp := rt.ParLoop("scale", cells, op2.DirectArg(d, op2.RW)).
+		Body(func(b op2.Bind) op2.RangeBody {
+			x := b.Dat(d)
+			return func(lo, hi int, _ []float64) {
+				for i := lo; i < hi; i++ {
+					x[i] = 2*x[i] + 1
+				}
+			}
+		})
+	ctx := context.Background()
+	for r := 0; r < runs; r++ {
+		if err := lp.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := float64(1<<runs - 1) // x ← 2x+1 from 0, runs times
+	for i, v := range d.Data() {
+		if v != want {
+			t.Fatalf("d[%d] = %g, want %g", i, v, want)
+		}
+	}
+}
