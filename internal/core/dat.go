@@ -19,8 +19,23 @@ import (
 type versionState struct {
 	mu        sync.Mutex
 	lastWrite *chainHandle
-	readers   []*chainHandle
+	// readers[head:] are the loops that read the resource since
+	// lastWrite, in issue order; readers[:head] are slots whose readers
+	// settled and were released at the head of the list.
+	readers []*chainHandle
+	head    int
+	// compactAt is the live reader count at which a Read record runs
+	// the next full compaction: twice the count the last one kept.
+	compactAt int
 }
+
+// minCompactReaders is the smallest live reader count that triggers a
+// full compaction on a Read record.
+const minCompactReaders = 8
+
+// live returns the readers recorded since lastWrite that are not yet
+// released. Caller holds v.mu.
+func (v *versionState) live() []*chainHandle { return v.readers[v.head:] }
 
 // appendDependencies appends the futures a new access must wait for
 // into a caller-owned buffer — the one definition of dependency
@@ -45,7 +60,7 @@ func (v *versionState) appendDependencies(acc Access, dst []*chainHandle) []*cha
 		return dst
 	}
 	v.dropSettledReaders()
-	return append(dst, v.readers...)
+	return append(dst, v.live()...)
 }
 
 // dropSettledWrite drops the last write if it resolved successfully,
@@ -57,11 +72,12 @@ func (v *versionState) dropSettledWrite() {
 	}
 }
 
-// dropSettledReaders compacts the reader list in place, dropping and
-// releasing every reader that resolved successfully. Caller holds v.mu.
+// dropSettledReaders compacts the live readers to the front of the list,
+// dropping and releasing every reader that resolved successfully wherever
+// it stands. Caller holds v.mu.
 func (v *versionState) dropSettledReaders() {
 	kept := v.readers[:0]
-	for _, r := range v.readers {
+	for _, r := range v.live() {
 		if settledOK(&r.lco) {
 			r.release()
 			continue
@@ -69,7 +85,25 @@ func (v *versionState) dropSettledReaders() {
 		kept = append(kept, r)
 	}
 	clear(v.readers[len(kept):])
-	v.readers = kept
+	v.readers, v.head = kept, 0
+	v.compactAt = max(2*len(kept), minCompactReaders)
+}
+
+// releaseSettledHead releases the readers at the head of the list that
+// resolved successfully, stopping at the first that has not: readers
+// mostly settle in issue order, so this finds nearly every settled
+// reader at a cost proportional to the number it releases. A failed
+// reader stops it too, and stays to propagate its error. Caller holds
+// v.mu.
+func (v *versionState) releaseSettledHead() {
+	for v.head < len(v.readers) && settledOK(&v.readers[v.head].lco) {
+		v.readers[v.head].release()
+		v.readers[v.head] = nil
+		v.head++
+	}
+	if v.head == len(v.readers) {
+		v.readers, v.head = v.readers[:0], 0
+	}
 }
 
 // recordQuiet marks a write access as complete-and-settled without
@@ -91,28 +125,44 @@ func (v *versionState) recordQuiet() {
 func (v *versionState) dropAll() {
 	v.lastWrite.release()
 	v.lastWrite = nil
-	for _, r := range v.readers {
+	for _, r := range v.live() {
 		r.release()
 	}
 	clear(v.readers)
-	v.readers = v.readers[:0]
+	v.readers, v.head = v.readers[:0], 0
+	v.compactAt = minCompactReaders
 }
 
 // record registers the chain future h as the new version according to
 // the access mode, releasing the chain references of every entry it
-// displaces. Read records compact settled-successful readers in place so
-// the reader list of a dat that is read every issue but never written
-// stays bounded by the in-flight (plus failed) readers.
+// displaces. A Read record costs amortized O(1) however far issue runs
+// ahead of execution: it releases the settled readers at the head of
+// the list, and runs a full compaction of settled-successful readers —
+// which also catches readers that settled out of issue order — only
+// once the live list has doubled since the last one. The reader list of
+// a dat that is read every issue but never written thus stays bounded
+// by twice the in-flight (plus failed) readers.
 func (v *versionState) record(acc Access, h *chainHandle) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if acc == Read {
-		v.dropSettledReaders()
-		v.readers = append(v.readers, h)
+	if acc != Read {
+		v.dropAll()
+		v.lastWrite = h
 		return
 	}
-	v.dropAll()
-	v.lastWrite = h
+	v.releaseSettledHead()
+	switch n := len(v.readers) - v.head; {
+	case n >= v.compactAt:
+		v.dropSettledReaders()
+	case len(v.readers) == cap(v.readers) && v.head >= n:
+		// Full, with at least as many released slots in front as live
+		// readers: move the live readers down instead of growing. The
+		// copy is paid for by the releases that freed those slots.
+		copy(v.readers, v.live())
+		clear(v.readers[n:])
+		v.readers, v.head = v.readers[:n], 0
+	}
+	v.readers = append(v.readers, h)
 }
 
 // fence waits for every outstanding entry — the fence a host-side access
@@ -136,11 +186,11 @@ func (v *versionState) fence() error {
 func (v *versionState) current() []hpx.Waiter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ws := make([]hpx.Waiter, 0, len(v.readers)+1)
+	ws := make([]hpx.Waiter, 0, len(v.live())+1)
 	if v.lastWrite != nil {
 		ws = append(ws, v.lastWrite)
 	}
-	for _, r := range v.readers {
+	for _, r := range v.live() {
 		ws = append(ws, r)
 	}
 	return ws

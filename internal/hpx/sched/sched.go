@@ -1,6 +1,6 @@
 // Package sched implements the task scheduler underlying the HPX-like
 // runtime: a fixed-size pool of worker goroutines with per-worker
-// work-stealing deques and a global inject queue.
+// work-stealing deques.
 //
 // The pool plays the role of the HPX thread pool: the number of workers is
 // the "--hpx:threads" knob used by the paper's strong-scaling experiments,
@@ -9,6 +9,17 @@
 // indefinitely (future waits are performed by ordinary goroutines outside
 // the pool, mirroring how HPX suspends user-level threads instead of
 // blocking OS threads).
+//
+// A worker that runs out of work does not park at once. Like an HPX
+// worker thread, which stays in its scheduling loop for a bounded idle
+// phase before it suspends, it keeps polling its own deque and every
+// steal target for idleSpin of wall time, yielding its processor with
+// runtime.Gosched between polls so the goroutines that issue and join
+// the work are never kept off a P. The chunks of the next loop of a
+// dependency chain, or of the next colour of a coloured loop, then
+// start on a worker that is still running instead of waiting for a
+// parked OS thread to wake. Once the budget has run out the worker
+// parks on the pool's condition variable, so an idle pool burns no CPU.
 package sched
 
 import (
@@ -18,7 +29,15 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
+
+// idleSpin is the idle phase of a worker: how long it keeps polling for
+// work, yielding between polls, after it first finds none, before it
+// parks. It bridges the gap between the loops of a dependency chain on
+// a small mesh, and is short enough that an idle pool parks within a
+// fraction of a millisecond.
+const idleSpin = 50 * time.Microsecond
 
 // Task is a unit of work executed by the pool.
 type Task func()
@@ -89,7 +108,6 @@ type Pool struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	global   []Task // overflow / external queue, FIFO
 	sleepers int
 	closed   bool
 
@@ -127,7 +145,10 @@ func (p *Pool) Stats() (executed, stolen uint64) {
 }
 
 // Submit schedules t for execution. Tasks are distributed round-robin over
-// the worker deques so that stealing only happens on imbalance.
+// the worker deques so that stealing only happens on imbalance. A nil
+// error guarantees that t runs: the push happens under the pool lock that
+// Close takes to mark the pool closed, so a worker that sees the pool
+// closed also sees every task accepted before it.
 func (p *Pool) Submit(t Task) error {
 	if t == nil {
 		return errors.New("sched: nil task")
@@ -137,11 +158,18 @@ func (p *Pool) Submit(t Task) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
+	p.push(t)
+	if p.sleepers > 0 {
+		p.cond.Signal()
+	}
 	p.mu.Unlock()
+	return nil
+}
+
+// push appends t to the next deque in round-robin order. Caller holds p.mu.
+func (p *Pool) push(t Task) {
 	i := int(p.next.Add(1)-1) % len(p.deques)
 	p.deques[i].pushTail(t)
-	p.wake()
-	return nil
 }
 
 // SubmitCtx is Submit gated on a context: when ctx is already done the
@@ -161,22 +189,26 @@ func (p *Pool) SubmitCtx(ctx context.Context, t Task) error {
 }
 
 // SubmitMany schedules a batch of tasks, spreading them evenly across the
-// worker deques and waking every sleeping worker once.
+// worker deques and waking every sleeping worker once. The batch is
+// accepted whole or not at all.
 func (p *Pool) SubmitMany(ts []Task) error {
+	for _, t := range ts {
+		if t == nil {
+			return errors.New("sched: nil task")
+		}
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	p.mu.Unlock()
 	for _, t := range ts {
-		if t == nil {
-			return errors.New("sched: nil task")
-		}
-		i := int(p.next.Add(1)-1) % len(p.deques)
-		p.deques[i].pushTail(t)
+		p.push(t)
 	}
-	p.wakeAll()
+	if p.sleepers > 0 {
+		p.cond.Broadcast()
+	}
+	p.mu.Unlock()
 	return nil
 }
 
@@ -196,61 +228,50 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-func (p *Pool) wake() {
-	p.mu.Lock()
-	if p.sleepers > 0 {
-		p.cond.Signal()
-	}
-	p.mu.Unlock()
-}
-
-func (p *Pool) wakeAll() {
-	p.mu.Lock()
-	if p.sleepers > 0 {
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
-}
-
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
 	rng := rand.New(rand.NewSource(int64(id)*2654435761 + 1))
 	own := p.deques[id]
+	var idleSince time.Time // zero while the worker is finding work
 	for {
 		if t, ok := own.popTail(); ok {
 			t()
 			p.executed.Add(1)
-			continue
-		}
-		if t, ok := p.popGlobal(); ok {
-			t()
-			p.executed.Add(1)
+			idleSince = time.Time{}
 			continue
 		}
 		if t, ok := p.steal(id, rng); ok {
 			t()
 			p.executed.Add(1)
 			p.stolen.Add(1)
+			idleSince = time.Time{}
 			continue
 		}
-		// Nothing found anywhere: park, unless shutting down. The
-		// re-check under the pool lock pairs with Submit's
-		// push-then-lock ordering: any task pushed before we looked
-		// is visible here, and any task pushed after must wait for
-		// the lock we hold until cond.Wait releases it, so its wake
-		// signal cannot be lost.
+		// Nothing found anywhere: spin through the idle phase, then
+		// park unless shutting down.
+		if idleSince.IsZero() {
+			idleSince = time.Now()
+		}
+		if time.Since(idleSince) < idleSpin {
+			runtime.Gosched()
+			continue
+		}
+		idleSince = time.Time{}
+		// The re-check under the pool lock pairs with Submit, which
+		// pushes and signals under that lock: any task pushed before
+		// we took it is visible here, and any task pushed after must
+		// wait for the lock we hold until cond.Wait releases it, so
+		// its wake signal cannot be lost.
 		p.mu.Lock()
-		if len(p.global) > 0 || p.anyQueued() {
+		if p.anyQueued() {
 			p.mu.Unlock()
 			continue
 		}
 		if p.closed {
-			// Re-check deques once under the assumption new work
-			// cannot arrive after close.
+			// No task is accepted after close, and every task
+			// accepted before it was pushed under the lock: the
+			// queues are empty for good.
 			p.mu.Unlock()
-			if p.anyQueued() {
-				continue
-			}
 			return
 		}
 		p.sleepers++
@@ -258,19 +279,6 @@ func (p *Pool) worker(id int) {
 		p.sleepers--
 		p.mu.Unlock()
 	}
-}
-
-func (p *Pool) popGlobal() (Task, bool) {
-	p.mu.Lock()
-	if len(p.global) == 0 {
-		p.mu.Unlock()
-		return nil, false
-	}
-	t := p.global[0]
-	p.global[0] = nil
-	p.global = p.global[1:]
-	p.mu.Unlock()
-	return t, true
 }
 
 func (p *Pool) steal(self int, rng *rand.Rand) (Task, bool) {

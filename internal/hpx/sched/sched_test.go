@@ -235,3 +235,68 @@ func TestPoolPropertyAllTasksRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPoolSubmitCloseNeverStrandsTask(t *testing.T) {
+	// Race a burst of concurrent Submits against Close: every task whose
+	// Submit returned nil must have run by the time Close returns, or a
+	// caller that joins on it (instead of running it inline on
+	// ErrClosed) hangs.
+	const rounds = 2000
+	const submits = 50
+	for r := 0; r < rounds; r++ {
+		p := NewPool(2)
+		var accepted, ran atomic.Int64
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(submits + 1)
+		for i := 0; i < submits; i++ {
+			go func() {
+				defer wg.Done()
+				<-start
+				if p.Submit(func() { ran.Add(1) }) == nil {
+					accepted.Add(1)
+				}
+			}()
+		}
+		go func() {
+			defer wg.Done()
+			<-start
+			p.Close()
+		}()
+		close(start)
+		wg.Wait()
+		p.Close() // waits for the workers, whichever Submit came last
+		if a, n := accepted.Load(), ran.Load(); a != n {
+			t.Fatalf("round %d: %d tasks accepted, %d ran", r, a, n)
+		}
+	}
+}
+
+func TestPoolParksWhenIdle(t *testing.T) {
+	// The idle phase is bounded: after a burst, every worker must stop
+	// polling and park, far sooner than this bound, so an idle pool
+	// burns no CPU.
+	p := NewPool(4)
+	defer p.Close()
+	var wg sync.WaitGroup
+	const n = 1000
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		_ = p.Submit(wg.Done)
+	}
+	wg.Wait()
+	const bound = 100 * time.Millisecond
+	deadline := time.Now().Add(bound)
+	for {
+		p.mu.Lock()
+		parked := p.sleepers
+		p.mu.Unlock()
+		if parked == p.Size() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers parked %v after the burst", parked, p.Size(), bound)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
