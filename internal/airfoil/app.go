@@ -21,8 +21,9 @@ type App struct {
 	Rms   *op2.Global
 
 	// UseGenericKernels switches from the specialized per-kernel bodies
-	// (the code the OP2 translator generates) to the generic view-based
-	// kernel path; used to cross-check the two in tests.
+	// (kernel arithmetic inline, the shape of OP2's generated loops) to
+	// the generic view-based path that calls the kernels of kernels.go;
+	// used to cross-check the two in tests.
 	UseGenericKernels bool
 
 	// LoopAtATime disables the Step graph and issues the nine loops of
@@ -133,11 +134,19 @@ func (a *App) buildLoops() {
 	a.loops.gen = build(false)
 }
 
-// The specialized bodies below are what the OP2-to-Go translator emits for
-// each kernel (cmd/op2gen produces this shape): raw-slice indexing over a
-// chunk, no per-element view construction. Each is a binder: it resolves
-// its arrays through the Bind once, so the same body runs over the host
-// arrays under shared memory and over rank-local arrays on every rank.
+// The specialized bodies below have the shape of OP2's generated loops
+// (Fig. 4): the user kernel sits inside the loop over the chunk, so a loop
+// costs its arithmetic and its memory traffic. Go's inliner rejects
+// AdtCalc, ResCalc and BresCalc (over its cost budget), so the bodies
+// carry the kernel arithmetic inline over fixed-size array-pointer views
+// of their rows: no per-element call and one length check per view.
+// kernels.go stays the reference definition; every expression here keeps
+// its form and order, so the bodies agree with it bit for bit
+// (TestSpecializedBodiesMatchKernels pins that). This is the form the
+// OP2-to-Go translator should emit once it owns these bodies. Each body
+// is a binder: it resolves its arrays through the Bind once, so the same
+// body runs over the host arrays under shared memory and over rank-local
+// arrays on every rank.
 
 func (a *App) saveSolnBody() op2.Binder {
 	m := a.M
@@ -156,13 +165,33 @@ func (a *App) adtCalcBody() op2.Binder {
 		x, q, adt := b.Dat(m.X), b.Dat(m.Q), b.Dat(m.Adt)
 		pc := b.Map(m.Pcell)
 		return func(lo, hi int, _ []float64) {
+			gam, gm1, cfl := c.Gam, c.Gm1, c.Cfl
 			for e := lo; e < hi; e++ {
-				n1 := int(pc[4*e]) * 2
-				n2 := int(pc[4*e+1]) * 2
-				n3 := int(pc[4*e+2]) * 2
-				n4 := int(pc[4*e+3]) * 2
-				c.AdtCalc(x[n1:n1+2], x[n2:n2+2], x[n3:n3+2], x[n4:n4+2],
-					q[4*e:4*e+4], adt[e:e+1])
+				x1 := (*[2]float64)(x[int(pc[4*e])*2:])
+				x2 := (*[2]float64)(x[int(pc[4*e+1])*2:])
+				x3 := (*[2]float64)(x[int(pc[4*e+2])*2:])
+				x4 := (*[2]float64)(x[int(pc[4*e+3])*2:])
+				q := (*[4]float64)(q[4*e:])
+
+				ri := 1.0 / q[0]
+				u := ri * q[1]
+				v := ri * q[2]
+				cs := math.Sqrt(gam * gm1 * (ri*q[3] - 0.5*(u*u+v*v)))
+
+				acc := 0.0
+				dx := x2[0] - x1[0]
+				dy := x2[1] - x1[1]
+				acc += math.Abs(u*dy-v*dx) + cs*math.Sqrt(dx*dx+dy*dy)
+				dx = x3[0] - x2[0]
+				dy = x3[1] - x2[1]
+				acc += math.Abs(u*dy-v*dx) + cs*math.Sqrt(dx*dx+dy*dy)
+				dx = x4[0] - x3[0]
+				dy = x4[1] - x3[1]
+				acc += math.Abs(u*dy-v*dx) + cs*math.Sqrt(dx*dx+dy*dy)
+				dx = x1[0] - x4[0]
+				dy = x1[1] - x4[1]
+				acc += math.Abs(u*dy-v*dx) + cs*math.Sqrt(dx*dx+dy*dy)
+				adt[e] = acc / cfl
 			}
 		}
 	}
@@ -175,15 +204,42 @@ func (a *App) resCalcBody() op2.Binder {
 		x, q, adt, res := b.Dat(m.X), b.Dat(m.Q), b.Dat(m.Adt), b.Dat(m.Res)
 		pe, pc := b.Map(m.Pedge), b.Map(m.Pecell)
 		return func(lo, hi int, _ []float64) {
+			gm1, eps := c.Gm1, c.Eps
 			for e := lo; e < hi; e++ {
-				n1 := int(pe[2*e]) * 2
-				n2 := int(pe[2*e+1]) * 2
 				c1 := int(pc[2*e])
 				c2 := int(pc[2*e+1])
-				c.ResCalc(x[n1:n1+2], x[n2:n2+2],
-					q[4*c1:4*c1+4], q[4*c2:4*c2+4],
-					adt[c1:c1+1], adt[c2:c2+1],
-					res[4*c1:4*c1+4], res[4*c2:4*c2+4])
+				x1 := (*[2]float64)(x[int(pe[2*e])*2:])
+				x2 := (*[2]float64)(x[int(pe[2*e+1])*2:])
+				q1 := (*[4]float64)(q[4*c1:])
+				q2 := (*[4]float64)(q[4*c2:])
+				res1 := (*[4]float64)(res[4*c1:])
+				res2 := (*[4]float64)(res[4*c2:])
+
+				dx := x1[0] - x2[0]
+				dy := x1[1] - x2[1]
+
+				ri := 1.0 / q1[0]
+				p1 := gm1 * (q1[3] - 0.5*ri*(q1[1]*q1[1]+q1[2]*q1[2]))
+				vol1 := ri * (q1[1]*dy - q1[2]*dx)
+
+				ri = 1.0 / q2[0]
+				p2 := gm1 * (q2[3] - 0.5*ri*(q2[1]*q2[1]+q2[2]*q2[2]))
+				vol2 := ri * (q2[1]*dy - q2[2]*dx)
+
+				mu := 0.5 * (adt[c1] + adt[c2]) * eps
+
+				f := 0.5*(vol1*q1[0]+vol2*q2[0]) + mu*(q1[0]-q2[0])
+				res1[0] += f
+				res2[0] -= f
+				f = 0.5*(vol1*q1[1]+p1*dy+vol2*q2[1]+p2*dy) + mu*(q1[1]-q2[1])
+				res1[1] += f
+				res2[1] -= f
+				f = 0.5*(vol1*q1[2]-p1*dx+vol2*q2[2]-p2*dx) + mu*(q1[2]-q2[2])
+				res1[2] += f
+				res2[2] -= f
+				f = 0.5*(vol1*(q1[3]+p1)+vol2*(q2[3]+p2)) + mu*(q1[3]-q2[3])
+				res1[3] += f
+				res2[3] -= f
 			}
 		}
 	}
@@ -196,13 +252,41 @@ func (a *App) bresCalcBody() op2.Binder {
 		x, q, adt, res, bound := b.Dat(m.X), b.Dat(m.Q), b.Dat(m.Adt), b.Dat(m.Res), b.Dat(m.Bound)
 		pbe, pbc := b.Map(m.Pbedge), b.Map(m.Pbecell)
 		return func(lo, hi int, _ []float64) {
+			gm1, eps, qinf := c.Gm1, c.Eps, c.Qinf
 			for e := lo; e < hi; e++ {
-				n1 := int(pbe[2*e]) * 2
-				n2 := int(pbe[2*e+1]) * 2
 				c1 := int(pbc[e])
-				c.BresCalc(x[n1:n1+2], x[n2:n2+2],
-					q[4*c1:4*c1+4], adt[c1:c1+1],
-					res[4*c1:4*c1+4], bound[e:e+1])
+				x1 := (*[2]float64)(x[int(pbe[2*e])*2:])
+				x2 := (*[2]float64)(x[int(pbe[2*e+1])*2:])
+				q1 := (*[4]float64)(q[4*c1:])
+				res1 := (*[4]float64)(res[4*c1:])
+
+				dx := x1[0] - x2[0]
+				dy := x1[1] - x2[1]
+
+				ri := 1.0 / q1[0]
+				p1 := gm1 * (q1[3] - 0.5*ri*(q1[1]*q1[1]+q1[2]*q1[2]))
+
+				if bound[e] == BoundWall {
+					res1[1] += p1 * dy
+					res1[2] -= p1 * dx
+					continue
+				}
+				vol1 := ri * (q1[1]*dy - q1[2]*dx)
+
+				ri = 1.0 / qinf[0]
+				p2 := gm1 * (qinf[3] - 0.5*ri*(qinf[1]*qinf[1]+qinf[2]*qinf[2]))
+				vol2 := ri * (qinf[1]*dy - qinf[2]*dx)
+
+				mu := adt[c1] * eps
+
+				f := 0.5*(vol1*q1[0]+vol2*qinf[0]) + mu*(q1[0]-qinf[0])
+				res1[0] += f
+				f = 0.5*(vol1*q1[1]+p1*dy+vol2*qinf[1]+p2*dy) + mu*(q1[1]-qinf[1])
+				res1[1] += f
+				f = 0.5*(vol1*q1[2]-p1*dx+vol2*qinf[2]-p2*dx) + mu*(q1[2]-qinf[2])
+				res1[2] += f
+				f = 0.5*(vol1*(q1[3]+p1)+vol2*(qinf[3]+p2)) + mu*(q1[3]-qinf[3])
+				res1[3] += f
 			}
 		}
 	}
@@ -213,9 +297,22 @@ func (a *App) updateBody() op2.Binder {
 	return func(b op2.Bind) op2.RangeBody {
 		qold, q, res, adt := b.Dat(m.Qold), b.Dat(m.Q), b.Dat(m.Res), b.Dat(m.Adt)
 		return func(lo, hi int, scratch []float64) {
+			rms := scratch[0]
 			for e := lo; e < hi; e++ {
-				Update(qold[4*e:4*e+4], q[4*e:4*e+4], res[4*e:4*e+4], adt[e:e+1], scratch)
+				qold := (*[4]float64)(qold[4*e:])
+				q := (*[4]float64)(q[4*e:])
+				res := (*[4]float64)(res[4*e:])
+				adti := 1.0 / adt[e]
+				acc := 0.0
+				for n := 0; n < 4; n++ {
+					del := adti * res[n]
+					q[n] = qold[n] - del
+					res[n] = 0
+					acc += del * del
+				}
+				rms += acc
 			}
+			scratch[0] = rms
 		}
 	}
 }

@@ -113,12 +113,29 @@ func TestDrainQueuedAndAdmission(t *testing.T) {
 	defer svc.Close() //nolint:errcheck
 	ctx := context.Background()
 
+	// The blocker's Iters is out of reach, so it can only end by the
+	// drain, however late the Drain goroutine below gets to run.
 	blocker := &fakeInst{issueCh: make(chan *fakeFuture, 64)}
-	jb, err := svc.Submit(ctx, service.Spec{Name: "blocker", Iters: 100, MaxInFlightSteps: 1, Start: startOf(blocker)})
+	jb, err := svc.Submit(ctx, service.Spec{Name: "blocker", Iters: 1 << 30, MaxInFlightSteps: 1, Start: startOf(blocker)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fut := <-blocker.issueCh // blocker is resident and mid-run
+	// Every later step resolves as soon as it issues, as on a real
+	// runtime: the scheduler may issue step 2 before Drain flips the
+	// drain flag, and Drain then waits for that step to retire.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case f := <-blocker.issueCh:
+				f.resolve(nil)
+			case <-stop:
+				return
+			}
+		}
+	}()
 
 	started := make(chan struct{}, 1)
 	jq, err := svc.Submit(ctx, service.Spec{
