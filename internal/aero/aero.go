@@ -15,6 +15,11 @@
 // synchronization point even under the dataflow backend — the reduction
 // future must resolve before the next loops can be issued with the right
 // scalars. That makes aero the stress test for Global version chains.
+//
+// Every loop runs an inline range body, the shape of OP2's generated
+// loop (Fig. 4): the kernel arithmetic sits in the loop over the range,
+// with no per-element view slices or kernel call. The generic view
+// kernels stay attached as the reference the bodies are pinned to.
 package aero
 
 import (
@@ -54,10 +59,14 @@ type Problem struct {
 	RR *op2.Global // Σ r·r
 	PV *op2.Global // Σ p·v
 
+	// alpha and beta carry the CG step scalars α = r·r / p·v and
+	// β = r·r / r·r_old from the host into updateUR and updateP.
+	alpha, beta *op2.Global
+
 	rt *op2.Runtime
 
-	resLoop, dirichletLoop, dotLoop *op2.Loop
-	initLoop                        *op2.Loop
+	resLoop, dirichletLoop, dotLoop     *op2.Loop
+	initLoop, updateURLoop, updatePLoop *op2.Loop
 	// applyStep is v = A·p expressed as one Step graph: the matrix-free
 	// SpMV, the Dirichlet row zeroing and the p·v dot product — the
 	// longest stretch of the CG iteration with no host synchronization,
@@ -70,6 +79,12 @@ type Problem struct {
 // NewProblem builds the FEM problem on an n×n grid, executing its loops
 // through the public op2 runtime.
 func NewProblem(n int, rt *op2.Runtime) (*Problem, error) {
+	return newProblem(n, rt, false)
+}
+
+// newProblem is NewProblem; generic leaves the range bodies off, so every
+// loop runs its Kernel closure through the generic view binder.
+func newProblem(n int, rt *op2.Runtime, generic bool) (*Problem, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("aero: grid needs n >= 2, got %d", n)
 	}
@@ -138,8 +153,14 @@ func NewProblem(n int, rt *op2.Runtime) (*Problem, error) {
 	if pr.PV, err = op2.DeclGlobal(1, nil, "pv"); err != nil {
 		return nil, err
 	}
+	if pr.alpha, err = op2.DeclGlobal(1, nil, "alpha"); err != nil {
+		return nil, err
+	}
+	if pr.beta, err = op2.DeclGlobal(1, nil, "beta"); err != nil {
+		return nil, err
+	}
 	pr.assemble()
-	pr.buildLoops()
+	pr.buildLoops(generic)
 	return pr, nil
 }
 
@@ -188,13 +209,21 @@ func (pr *Problem) assemble() {
 	pr.lift = g
 }
 
+// The three distinct entries of the element stiffness matrix: a corner
+// with itself, with a corner sharing an edge, with the opposite corner.
+const (
+	keSelf = 2.0 / 3
+	keEdge = -1.0 / 6
+	keOpp  = -1.0 / 3
+)
+
 // ke is the 4×4 element stiffness matrix of the bilinear quad on a square
 // cell for the Laplacian (independent of h).
 var ke = [4][4]float64{
-	{2.0 / 3, -1.0 / 6, -1.0 / 3, -1.0 / 6},
-	{-1.0 / 6, 2.0 / 3, -1.0 / 6, -1.0 / 3},
-	{-1.0 / 3, -1.0 / 6, 2.0 / 3, -1.0 / 6},
-	{-1.0 / 6, -1.0 / 3, -1.0 / 6, 2.0 / 3},
+	{keSelf, keEdge, keOpp, keEdge},
+	{keEdge, keSelf, keEdge, keOpp},
+	{keOpp, keEdge, keSelf, keEdge},
+	{keEdge, keOpp, keEdge, keSelf},
 }
 
 // applyStiffness computes out = K·in sequentially (used for assembly).
@@ -214,9 +243,19 @@ func (pr *Problem) applyStiffness(in, out []float64) {
 	}
 }
 
-func (pr *Problem) buildLoops() {
+// buildLoops declares the six CG loops once; the runtime caches their
+// plans and calibration across iterations and solves. Each loop carries
+// its generic view kernel, the reference definition that accesscheck
+// reads, and, unless generic is set, an inline range body (see resBody).
+func (pr *Problem) buildLoops(generic bool) {
+	attach := func(lp *op2.Loop, b op2.Binder) *op2.Loop {
+		if generic {
+			return lp
+		}
+		return lp.Body(b)
+	}
 	// res: v += K_e · p, the matrix-free SpMV over cells (OP_INC).
-	pr.resLoop = pr.rt.ParLoop("res", pr.Cells,
+	pr.resLoop = attach(pr.rt.ParLoop("res", pr.Cells,
 		op2.DatArg(pr.P, 0, pr.Pcell, op2.Read),
 		op2.DatArg(pr.P, 1, pr.Pcell, op2.Read),
 		op2.DatArg(pr.P, 2, pr.Pcell, op2.Read),
@@ -233,26 +272,26 @@ func (pr *Problem) buildLoops() {
 			}
 			v[4+a][0] += acc
 		}
-	})
+	}), pr.resBody())
 	// dirichlet: boundary rows are removed from the CG system — their
 	// A·p entries are zeroed so every CG vector stays zero on the
 	// boundary subspace.
-	pr.dirichletLoop = pr.rt.ParLoop("dirichlet", pr.Bnodes,
+	pr.dirichletLoop = attach(pr.rt.ParLoop("dirichlet", pr.Bnodes,
 		op2.DatArg(pr.V, 0, pr.Pbnode, op2.Write),
 	).Kernel(func(v [][]float64) {
 		v[0][0] = 0
-	})
+	}), pr.dirichletBody())
 	// dotPV: Σ p·v.
-	pr.dotLoop = pr.rt.ParLoop("dotPV", pr.Nodes,
+	pr.dotLoop = attach(pr.rt.ParLoop("dotPV", pr.Nodes,
 		op2.DirectArg(pr.P, op2.Read),
 		op2.DirectArg(pr.V, op2.Read),
 		op2.GblArg(pr.PV, op2.Inc),
 	).Kernel(func(v [][]float64) {
 		v[2][0] += v[0][0] * v[1][0]
-	})
+	}), pr.dotPVBody())
 	pr.applyStep = pr.rt.Step("apply_A").Then(pr.resLoop).Then(pr.dirichletLoop).Then(pr.dotLoop)
 	// init: u = 0, r = b, p = r, v = 0, Σ r·r.
-	pr.initLoop = pr.rt.ParLoop("init_cg", pr.Nodes,
+	pr.initLoop = attach(pr.rt.ParLoop("init_cg", pr.Nodes,
 		op2.DirectArg(pr.B, op2.Read),
 		op2.DirectArg(pr.U, op2.Write),
 		op2.DirectArg(pr.R, op2.Write),
@@ -265,18 +304,15 @@ func (pr *Problem) buildLoops() {
 		v[3][0] = v[0][0]
 		v[4][0] = 0
 		v[5][0] += v[0][0] * v[0][0]
-	})
-}
-
-// updateURLoop builds the α-dependent update loop; α changes every CG
-// iteration, so the loop closure captures it by pointer through a Global.
-func (pr *Problem) updateURLoop(alpha *op2.Global) *op2.Loop {
-	return pr.rt.ParLoop("updateUR", pr.Nodes,
+	}), pr.initBody())
+	// updateUR: u += α p, r -= α v, v = 0, Σ r·r. α changes every CG
+	// iteration; the loop reads it through the alpha Global.
+	pr.updateURLoop = attach(pr.rt.ParLoop("updateUR", pr.Nodes,
 		op2.DirectArg(pr.P, op2.Read),
 		op2.DirectArg(pr.U, op2.RW),
 		op2.DirectArg(pr.R, op2.RW),
 		op2.DirectArg(pr.V, op2.RW),
-		op2.GblArg(alpha, op2.Read),
+		op2.GblArg(pr.alpha, op2.Read),
 		op2.GblArg(pr.RR, op2.Inc),
 	).Kernel(func(v [][]float64) {
 		a := v[4][0]
@@ -284,18 +320,143 @@ func (pr *Problem) updateURLoop(alpha *op2.Global) *op2.Loop {
 		v[2][0] -= a * v[3][0]
 		v[3][0] = 0
 		v[5][0] += v[2][0] * v[2][0]
-	})
-}
-
-// updatePLoop builds the β-dependent direction update p = r + β p.
-func (pr *Problem) updatePLoop(beta *op2.Global) *op2.Loop {
-	return pr.rt.ParLoop("updateP", pr.Nodes,
+	}), pr.updateURBody())
+	// updateP: the β-dependent direction update p = r + β p.
+	pr.updatePLoop = attach(pr.rt.ParLoop("updateP", pr.Nodes,
 		op2.DirectArg(pr.R, op2.Read),
 		op2.DirectArg(pr.P, op2.RW),
-		op2.GblArg(beta, op2.Read),
+		op2.GblArg(pr.beta, op2.Read),
 	).Kernel(func(v [][]float64) {
 		v[1][0] = v[0][0] + v[2][0]*v[1][0]
-	})
+	}), pr.updatePBody())
+}
+
+// The range bodies below have the shape of OP2's generated loops (Fig. 4):
+// the kernel arithmetic sits inline in the loop over the range, so a loop
+// costs its arithmetic and its memory traffic rather than a view slice
+// per argument and a closure call per element. The Kernel closures above
+// stay the reference; every expression here keeps their form and order,
+// so the two paths agree bit for bit (TestBodiesMatchKernels pins that).
+// res unrolls the kernel's 4×4 loop over ke's named entries: the same
+// products, summed from 0.0 in the same order. Each body resolves its
+// arrays through the Bind once. Read globals (α, β) are read from the
+// Global's host slice captured at bind time, as the generic binder reads
+// them, and reductions keep their partial in a register across the range
+// and store it to scratch[0] once.
+
+func (pr *Problem) resBody() op2.Binder {
+	return func(b op2.Bind) op2.RangeBody {
+		p, v := b.Dat(pr.P), b.Dat(pr.V)
+		pc := b.Map(pr.Pcell)
+		return func(lo, hi int, _ []float64) {
+			for e := lo; e < hi; e++ {
+				c := (*[4]int32)(pc[4*e:])
+				p0, p1, p2, p3 := p[c[0]], p[c[1]], p[c[2]], p[c[3]]
+				// Row a of ke·p, summed in column order from 0.0.
+				acc := 0.0
+				acc += keSelf * p0
+				acc += keEdge * p1
+				acc += keOpp * p2
+				acc += keEdge * p3
+				v[c[0]] += acc
+				acc = 0.0
+				acc += keEdge * p0
+				acc += keSelf * p1
+				acc += keEdge * p2
+				acc += keOpp * p3
+				v[c[1]] += acc
+				acc = 0.0
+				acc += keOpp * p0
+				acc += keEdge * p1
+				acc += keSelf * p2
+				acc += keEdge * p3
+				v[c[2]] += acc
+				acc = 0.0
+				acc += keEdge * p0
+				acc += keOpp * p1
+				acc += keEdge * p2
+				acc += keSelf * p3
+				v[c[3]] += acc
+			}
+		}
+	}
+}
+
+func (pr *Problem) dirichletBody() op2.Binder {
+	return func(b op2.Bind) op2.RangeBody {
+		v := b.Dat(pr.V)
+		pb := b.Map(pr.Pbnode)
+		return func(lo, hi int, _ []float64) {
+			for _, nd := range pb[lo:hi] {
+				v[nd] = 0
+			}
+		}
+	}
+}
+
+func (pr *Problem) dotPVBody() op2.Binder {
+	return func(b op2.Bind) op2.RangeBody {
+		p, v := b.Dat(pr.P), b.Dat(pr.V)
+		return func(lo, hi int, scratch []float64) {
+			p, v := p[lo:hi], v[lo:hi]
+			pv := scratch[0]
+			for e := range p {
+				pv += p[e] * v[e]
+			}
+			scratch[0] = pv
+		}
+	}
+}
+
+func (pr *Problem) initBody() op2.Binder {
+	return func(b op2.Bind) op2.RangeBody {
+		bv, u, r, p, v := b.Dat(pr.B), b.Dat(pr.U), b.Dat(pr.R), b.Dat(pr.P), b.Dat(pr.V)
+		return func(lo, hi int, scratch []float64) {
+			bv, u, r, p, v := bv[lo:hi], u[lo:hi], r[lo:hi], p[lo:hi], v[lo:hi]
+			rr := scratch[0]
+			for e := range bv {
+				u[e] = 0
+				r[e] = bv[e]
+				p[e] = bv[e]
+				v[e] = 0
+				rr += bv[e] * bv[e]
+			}
+			scratch[0] = rr
+		}
+	}
+}
+
+func (pr *Problem) updateURBody() op2.Binder {
+	return func(b op2.Bind) op2.RangeBody {
+		alpha := pr.alpha.Data()
+		p, u, r, v := b.Dat(pr.P), b.Dat(pr.U), b.Dat(pr.R), b.Dat(pr.V)
+		return func(lo, hi int, scratch []float64) {
+			p, u, r, v := p[lo:hi], u[lo:hi], r[lo:hi], v[lo:hi]
+			a := alpha[0]
+			rr := scratch[0]
+			for e := range p {
+				u[e] += a * p[e]
+				r[e] -= a * v[e]
+				v[e] = 0
+				rr += r[e] * r[e]
+			}
+			scratch[0] = rr
+		}
+	}
+}
+
+func (pr *Problem) updatePBody() op2.Binder {
+	return func(b op2.Bind) op2.RangeBody {
+		beta := pr.beta.Data()
+		r, p := b.Dat(pr.R), b.Dat(pr.P)
+		return func(lo, hi int, _ []float64) {
+			r, p := r[lo:hi], p[lo:hi]
+			bt := beta[0]
+			for e := range p {
+				p[e] = r[e] + bt*p[e]
+			}
+		}
+	}
 }
 
 // Solve runs conjugate gradients until the residual norm falls below tol
@@ -318,17 +479,6 @@ func (pr *Problem) Solve(tol float64, maxIter int) (res float64, iters int, err 
 	}
 	rr := pr.RR.Data()[0]
 
-	alpha, err := op2.DeclGlobal(1, nil, "alpha")
-	if err != nil {
-		return 0, 0, err
-	}
-	beta, err := op2.DeclGlobal(1, nil, "beta")
-	if err != nil {
-		return 0, 0, err
-	}
-	upUR := pr.updateURLoop(alpha)
-	upP := pr.updatePLoop(beta)
-
 	for iters = 0; iters < maxIter && math.Sqrt(rr) > tol; iters++ {
 		// v = A p followed by the p·v reduction, issued as one Step (the
 		// SpMV, Dirichlet rows and dot product share no host sync). The
@@ -346,24 +496,24 @@ func (pr *Problem) Solve(tol float64, maxIter int) (res float64, iters int, err 
 		if pv == 0 {
 			break
 		}
-		if err := alpha.Set([]float64{rr / pv}); err != nil {
+		if err := pr.alpha.Set([]float64{rr / pv}); err != nil {
 			return 0, iters, err
 		}
 		rrOld := rr
 		if err := pr.RR.Set([]float64{0}); err != nil {
 			return 0, iters, err
 		}
-		if err := run(upUR); err != nil {
+		if err := run(pr.updateURLoop); err != nil {
 			return 0, iters, err
 		}
 		if err := pr.RR.Sync(); err != nil {
 			return 0, iters, err
 		}
 		rr = pr.RR.Data()[0]
-		if err := beta.Set([]float64{rr / rrOld}); err != nil {
+		if err := pr.beta.Set([]float64{rr / rrOld}); err != nil {
 			return 0, iters, err
 		}
-		if err := run(upP); err != nil {
+		if err := run(pr.updatePLoop); err != nil {
 			return 0, iters, err
 		}
 	}

@@ -2,14 +2,16 @@ package aero
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"op2hpx/internal/core"
 	"op2hpx/op2"
 )
 
-func testRuntime(t *testing.T, b op2.Backend, workers int) *op2.Runtime {
+func testRuntime(t *testing.T, b op2.Backend, workers int, opts ...op2.Option) *op2.Runtime {
 	t.Helper()
-	rt := op2.MustNew(op2.WithBackend(b), op2.WithPoolSize(workers))
+	rt := op2.MustNew(append([]op2.Option{op2.WithBackend(b), op2.WithPoolSize(workers)}, opts...)...)
 	t.Cleanup(func() { rt.Close() })
 	return rt
 }
@@ -75,32 +77,33 @@ func TestSolveConvergesToManufacturedSolution(t *testing.T) {
 
 func TestSolveBackendsAgree(t *testing.T) {
 	const n = 16
-	solve := func(b op2.Backend, workers int) ([]float64, int) {
+	solve := func(b op2.Backend, workers int, opts ...op2.Option) ([]float64, int) {
 		t.Helper()
-		pr, err := NewProblem(n, testRuntime(t, b, workers))
+		pr, err := NewProblem(n, testRuntime(t, b, workers, opts...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, iters, err := pr.Solve(1e-11, 5000); err != nil {
+		_, iters, err := pr.Solve(1e-11, 5000)
+		if err != nil {
 			t.Fatal(err)
-		} else {
-			return pr.Solution(), iters
 		}
-		return nil, 0
+		return pr.Solution(), iters
 	}
-	ref, refIters := solve(op2.Serial, 1)
-	for _, tc := range []struct {
+	backends := []struct {
 		name    string
 		backend op2.Backend
 		workers int
 	}{
 		{"forkjoin", op2.ForkJoin, 4},
 		{"dataflow", op2.Dataflow, 4},
-	} {
+	}
+	ref, refIters := solve(op2.Serial, 1)
+	for _, tc := range backends {
 		got, iters := solve(tc.backend, tc.workers)
-		// CG is sensitive to FP reassociation in the reductions, so
-		// iteration counts may differ by a few; solutions must agree to
-		// solver tolerance.
+		// The default chunker calibrates by timing, so the reductions'
+		// fold order, and with it the last bits CG is sensitive to, may
+		// differ; iteration counts may differ by a few and solutions must
+		// agree to solver tolerance.
 		if d := iters - refIters; d > 50 || d < -50 {
 			t.Fatalf("%s: %d iterations vs serial %d", tc.name, iters, refIters)
 		}
@@ -109,6 +112,148 @@ func TestSolveBackendsAgree(t *testing.T) {
 				t.Fatalf("%s: node %d solution %g vs serial %g", tc.name, i, got[i], ref[i])
 			}
 		}
+	}
+
+	// One whole-set static chunk fixes the fold order: every backend
+	// gives the serial solution's bits in the same number of iterations.
+	whole := op2.WithChunker(op2.StaticChunk((n + 1) * (n + 1)))
+	ref, refIters = solve(op2.Serial, 1, whole)
+	for _, tc := range backends {
+		got, iters := solve(tc.backend, tc.workers, whole)
+		if iters != refIters {
+			t.Fatalf("%s, whole-set chunk: %d iterations vs serial %d", tc.name, iters, refIters)
+		}
+		sameBits(t, tc.name+" solution, whole-set chunk", got, ref)
+	}
+}
+
+// sameBits fails unless got and want are bitwise equal.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d vs %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %.17g, want %.17g (not bitwise)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// shuffleCells permutes the Pcell rows inside every plan block by a
+// seeded random order. Block membership, and with it the plan's
+// colouring, is unchanged; only the order of cells inside a block and
+// the corner indices they touch move. Cells carry no data, so this is
+// valid until the first loop builds a plan.
+func shuffleCells(pr *Problem, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	pc := pr.Pcell.Data()
+	n := pr.Cells.Size()
+	for lo := 0; lo < n; lo += core.DefaultBlockSize {
+		rng.Shuffle(min(core.DefaultBlockSize, n-lo), func(i, j int) {
+			a, b := (*[4]int32)(pc[4*(lo+i):]), (*[4]int32)(pc[4*(lo+j):])
+			*a, *b = *b, *a
+		})
+	}
+}
+
+// TestBodiesMatchKernels pins the inline range bodies of the six CG
+// loops to their Kernel closures bit for bit: one shuffled problem is
+// solved on the body path and on the generic view-kernel path, and U, R,
+// P, V, the residual and the iteration count must agree exactly. Each
+// backend runs under one whole-set static chunk and under 97-element
+// chunks, so reductions folded from many chunk partials are covered.
+func TestBodiesMatchKernels(t *testing.T) {
+	const n, seed = 40, 7
+	if cells := n * n; cells <= core.DefaultBlockSize {
+		t.Fatalf("%d cells fill one plan block; the shuffle needs several", cells)
+	}
+	type result struct {
+		u, r, p, v []float64
+		res        float64
+		iters      int
+	}
+	run := func(b op2.Backend, workers, chunk int, generic bool) result {
+		t.Helper()
+		rt := testRuntime(t, b, workers, op2.WithChunker(op2.StaticChunk(chunk)))
+		pr, err := newProblem(n, rt, generic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shuffleCells(pr, seed)
+		const maxIter = 1000
+		res, iters, err := pr.Solve(1e-10, maxIter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iters == maxIter {
+			t.Fatalf("CG did not converge in %d iterations (residual %g)", maxIter, res)
+		}
+		return result{pr.U.Data(), pr.R.Data(), pr.P.Data(), pr.V.Data(), res, iters}
+	}
+
+	for _, ck := range []struct {
+		name string
+		size int
+	}{
+		{"whole", (n + 1) * (n + 1)},
+		{"chunk97", 97},
+	} {
+		for _, tc := range []struct {
+			name    string
+			backend op2.Backend
+			workers int
+		}{
+			{"serial", op2.Serial, 1},
+			{"forkjoin-2", op2.ForkJoin, 2},
+			{"dataflow-2", op2.Dataflow, 2},
+			{"dataflow-4", op2.Dataflow, 4},
+		} {
+			t.Run(ck.name+"/"+tc.name, func(t *testing.T) {
+				want := run(tc.backend, tc.workers, ck.size, true)
+				got := run(tc.backend, tc.workers, ck.size, false)
+				if got.iters != want.iters {
+					t.Fatalf("bodies take %d iterations, kernels %d", got.iters, want.iters)
+				}
+				sameBits(t, "residual", []float64{got.res}, []float64{want.res})
+				sameBits(t, "u", got.u, want.u)
+				sameBits(t, "r", got.r, want.r)
+				sameBits(t, "p", got.p, want.p)
+				sameBits(t, "v", got.v, want.v)
+			})
+		}
+	}
+}
+
+// TestRepeatedSolveCheckpoints solves one problem twice: the step
+// scalars and their loops are declared once per problem, so a second
+// Solve adds no globals to the runtime's checkpoint list (two globals of
+// one name fail Checkpoint) and, starting again from u = 0, reproduces
+// the first solve bit for bit.
+func TestRepeatedSolveCheckpoints(t *testing.T) {
+	const n = 12
+	rt := testRuntime(t, op2.Dataflow, 2, op2.WithChunker(op2.StaticChunk((n+1)*(n+1))))
+	pr, err := NewProblem(n, rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func() ([]float64, float64, int) {
+		t.Helper()
+		res, iters, err := pr.Solve(1e-10, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr.Solution(), res, iters
+	}
+	first, res1, iters1 := solve()
+	second, res2, iters2 := solve()
+	if iters2 != iters1 {
+		t.Fatalf("second solve took %d iterations, first %d", iters2, iters1)
+	}
+	sameBits(t, "residual", []float64{res2}, []float64{res1})
+	sameBits(t, "second solution", second, first)
+	if _, err := rt.Checkpoint(0); err != nil {
+		t.Fatalf("checkpoint after two solves: %v", err)
 	}
 }
 
