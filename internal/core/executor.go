@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,9 +18,11 @@ type Backend int
 const (
 	// Serial executes loops on the calling goroutine.
 	Serial Backend = iota
-	// ForkJoin is the baseline the paper attacks: static even chunks
-	// across the pool and an implicit global barrier at the end of every
-	// loop ("#pragma omp parallel for", Fig. 4).
+	// ForkJoin is the baseline the paper attacks ("#pragma omp parallel
+	// for", Fig. 4): each loop runs its chunks on the executor's pool — a
+	// persistent team, as in OpenMP — and joins before the next loop is
+	// issued, the implicit global barrier. It differs from Dataflow only
+	// in policy: no step fusion, and even static chunks by default.
 	ForkJoin
 	// Dataflow is the paper's contribution (§IV): loops are issued
 	// asynchronously, consume the futures of the dats they access and
@@ -56,10 +57,11 @@ type Config struct {
 	// Chunker controls chunk sizes (§IV-B). Nil defaults per backend:
 	// ForkJoin uses even static division (the OpenMP baseline), Dataflow
 	// uses auto chunk sizing. Pass a *hpx.PersistentAutoChunker shared
-	// across loops to reproduce persistent_auto_chunk_size. Dataflow
-	// consults it on every execution of a direct loop or fused pass, but
-	// only once per color for a colored loop — on its first execution at
-	// a given pool size (see Executor.runColored).
+	// across loops to reproduce persistent_auto_chunk_size. ForkJoin and
+	// Dataflow consult it alike — a calibrating chunker times a probe
+	// under either — on every execution of a direct loop or fused pass,
+	// but only once per color for a colored loop: on its first execution
+	// at a given pool size (see Executor.runColored).
 	Chunker hpx.Chunker
 	// BlockSize is the plan block size for indirect loops.
 	BlockSize int
@@ -132,8 +134,8 @@ func (ex *Executor) pool() *sched.Pool {
 	return sched.Default()
 }
 
-// Run executes the loop synchronously: it returns once the loop (and, for
-// the fork-join backend, its implicit end-of-loop barrier) completes.
+// Run executes the loop synchronously: it returns once every chunk of
+// the loop has joined — the implicit end-of-loop barrier of fork-join.
 func (ex *Executor) Run(l *Loop) error {
 	return ex.RunCtx(context.Background(), l)
 }
@@ -373,8 +375,6 @@ func (ex *Executor) executeCompiled(ctx context.Context, cl *CompiledLoop) (err 
 	switch {
 	case ex.cfg.Backend == Serial:
 		runErr = ex.runSerial(ctx, lr)
-	case ex.cfg.Backend == ForkJoin:
-		runErr = ex.runForkJoin(ctx, lr)
 	case cl.plan == nil:
 		runErr = ex.runDirect(lr)
 	default:
@@ -412,110 +412,6 @@ func (ex *Executor) runSerial(ctx context.Context, lr *loopRun) error {
 		}
 	}
 	return nil
-}
-
-// runForkJoin executes a loop the way "#pragma omp parallel for" does
-// (Fig. 4): a team of goroutines is forked for this region, work is
-// divided statically (or per the configured chunker — never calibrated,
-// matching OpenMP's schedule clause), and the region ends with a join
-// barrier. The team is created and torn down per loop, which is precisely
-// the fork-join overhead plus implicit global barrier the paper's dataflow
-// backend eliminates.
-func (ex *Executor) runForkJoin(ctx context.Context, lr *loopRun) error {
-	workers := ex.pool().Size()
-	plan := lr.cl.plan
-	if plan == nil {
-		n := lr.cl.l.Set.size
-		size := ex.cfg.Chunker.ChunkSize(n, workers, nil)
-		if size < 1 {
-			size = 1
-		}
-		nchunks := (n + size - 1) / size
-		lr.ensureSlots(nchunks)
-		lr.nslots = nchunks
-		return forkJoinRegion(ctx, workers, n, size, func(c, lo, hi int) {
-			lr.runRange(c, lo, hi)
-		})
-	}
-	lr.ensureSlots(plan.NBlocks())
-	lr.nslots = plan.NBlocks()
-	for c := 0; c < plan.NColors(); c++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr // abort the nest between colors
-		}
-		blocks := plan.BlocksOfColor(c)
-		size := ex.cfg.Chunker.ChunkSize(len(blocks), workers, nil)
-		if size < 1 {
-			size = 1
-		}
-		err := forkJoinRegion(ctx, workers, len(blocks), size, func(_, blo, bhi int) {
-			for i := blo; i < bhi; i++ {
-				b := blocks[i]
-				lo, hi := plan.Block(b)
-				lr.runRange(b, lo, hi)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// forkJoinRegion forks a team of workers over n iterations, hands out
-// chunks of the given size from a shared counter, and joins. The chunk
-// callback receives the chunk ordinal (ascending with the range), which
-// is the reduction-scratch slot for direct loops. A done ctx makes every
-// worker stop claiming chunks; the region still joins before returning
-// the context error.
-func forkJoinRegion(ctx context.Context, workers, n, size int, chunk func(c, lo, hi int)) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				if ctx.Err() != nil {
-					return // canceled: stop claiming chunks
-				}
-				c := int(next.Add(1) - 1)
-				lo := c * size
-				if lo >= n {
-					return
-				}
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
-				chunk(c, lo, hi)
-			}
-		}()
-	}
-	wg.Wait() // the implicit barrier at the end of the parallel region
-	if panicked != nil {
-		return fmt.Errorf("parallel region panicked: %v", panicked)
-	}
-	return ctx.Err()
 }
 
 // runDirect executes a loop with no indirect modifications: calibrate the

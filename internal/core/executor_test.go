@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -472,6 +474,121 @@ func TestExecutorChunkerConfigurations(t *testing.T) {
 				t.Fatalf("%s: wrong result at %d", c.Name(), i)
 			}
 		}
+		// ForkJoin hands the chunker the same timing probe as Dataflow,
+		// so a calibrating chunker calibrates.
+		if p, ok := c.(*hpx.PersistentAutoChunker); ok && p.Target() == 0 {
+			t.Fatalf("%s: no target calibrated under ForkJoin", c.Name())
+		}
+	}
+}
+
+// waitExecuted waits until the pool has counted want executed tasks —
+// the counter ticks just after each task returns — and fails if it
+// never gets there or overshoots.
+func waitExecuted(t *testing.T, pool *sched.Pool, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		executed, _ := pool.Stats()
+		if executed == want {
+			return
+		}
+		if executed > want || time.Now().After(deadline) {
+			t.Fatalf("pool executed %d tasks, want %d", executed, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestForkJoinRunsChunksOnPool checks that ForkJoin loops run their
+// chunks as tasks of the executor's pool: a direct loop and a colored
+// loop each raise the pool's executed count by their chunk count.
+func TestForkJoinRunsChunksOnPool(t *testing.T) {
+	const workers = 4
+	pool := sched.NewPool(workers)
+	t.Cleanup(pool.Close)
+	ex := NewExecutor(Config{Backend: ForkJoin, Pool: pool, BlockSize: 100})
+	even := hpx.EvenChunker(1)
+
+	const n = 10000
+	direct, _, _ := saxpyLoop(n)
+	if err := ex.Run(direct); err != nil {
+		t.Fatal(err)
+	}
+	size := even.ChunkSize(n, workers, nil)
+	want := uint64((n + size - 1) / size)
+	waitExecuted(t, pool, want)
+
+	colored, _ := ringLoop(2000)
+	if err := ex.Run(colored); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := ex.compiled(colored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < cl.plan.NColors(); c++ {
+		nb := len(cl.plan.BlocksOfColor(c))
+		size := even.ChunkSize(nb, workers, nil)
+		if size >= nb {
+			t.Fatalf("color %d has %d blocks: one chunk, which runs on the caller", c, nb)
+		}
+		want += uint64((nb + size - 1) / size)
+	}
+	waitExecuted(t, pool, want)
+}
+
+// TestForkJoinChunkPanic checks that a kernel panic inside a ForkJoin
+// chunk on the pool fails Run with an error naming the loop, and that
+// the next execution on the same executor runs and matches Serial
+// bitwise.
+func TestForkJoinChunkPanic(t *testing.T) {
+	cases := []struct {
+		name string
+		make func() (*Loop, *Dat)
+	}{
+		{"direct", func() (*Loop, *Dat) { l, _, y := saxpyLoop(10000); return l, y }},
+		{"colored", func() (*Loop, *Dat) { return ringLoop(2000) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := sched.NewPool(2)
+			t.Cleanup(pool.Close)
+			ex := NewExecutor(Config{Backend: ForkJoin, Pool: pool, BlockSize: 100})
+			serial := NewExecutor(Config{Backend: Serial, BlockSize: 100})
+
+			l, d := tc.make()
+			init := append([]float64(nil), d.Data()...)
+			kernel := l.Kernel
+			var boom atomic.Bool
+			boom.Store(true)
+			l.Kernel = func(v [][]float64) {
+				if boom.Load() {
+					panic("kernel failure")
+				}
+				kernel(v)
+			}
+			err := ex.Run(l)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", l.Name)) ||
+				!strings.Contains(err.Error(), "parallel region panicked: kernel failure") {
+				t.Fatalf("Run = %v, want the panic reported against loop %q", err, l.Name)
+			}
+
+			boom.Store(false)
+			copy(d.Data(), init)
+			if err := ex.Run(l); err != nil {
+				t.Fatalf("run after the panic: %v", err)
+			}
+			ref, dref := tc.make()
+			if err := serial.Run(ref); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range d.Data() {
+				if v != dref.Data()[i] {
+					t.Fatalf("element %d: forkjoin %g, serial %g", i, v, dref.Data()[i])
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,8 @@
 // evaluation compares: serial, fork-join ("#pragma omp parallel for" with
 // its implicit end-of-loop barrier, Fig. 4) and the HPX dataflow backend
 // (§IV) in which every loop consumes and produces futures so dependent
-// loops interleave without global barriers.
+// loops interleave without global barriers. Both parallel backends run
+// their chunks on the same scheduler pool; they differ in issue policy.
 package core
 
 import "fmt"

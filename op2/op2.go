@@ -67,8 +67,9 @@ type Backend = core.Backend
 const (
 	// Serial executes loops on the calling goroutine.
 	Serial = core.Serial
-	// ForkJoin is the OpenMP-style baseline: a worker team per loop with
-	// an implicit global barrier at the end.
+	// ForkJoin is the OpenMP-style baseline: each loop runs its chunks on
+	// the runtime's pool — a persistent team, as in OpenMP — and joins
+	// before the next loop is issued, the implicit global barrier.
 	ForkJoin = core.ForkJoin
 	// Dataflow is the paper's contribution: loops consume and produce
 	// futures, so independent loops interleave without global barriers.
@@ -135,10 +136,11 @@ func WithBackend(b Backend) Option { return func(c *config) { c.backend = b } }
 func WithPoolSize(n int) Option { return func(c *config) { c.poolSize = n } }
 
 // WithChunker sets the chunk-size policy for every loop of the runtime.
-// A nil chunker is a no-op, leaving the per-backend default: even static
-// division for ForkJoin (the OpenMP baseline), auto calibration
-// otherwise — so callers with an optional chunker can pass it through
-// unconditionally.
+// ForkJoin and Dataflow use it alike: a calibrating chunker calibrates
+// under either. A nil chunker is a no-op, leaving the per-backend
+// default: even static division for ForkJoin (the OpenMP baseline), auto
+// calibration otherwise — so callers with an optional chunker can pass
+// it through unconditionally.
 func WithChunker(ck Chunker) Option { return func(c *config) { c.chunker = ck } }
 
 // WithBlockSize sets the execution-plan block size for indirect loops
@@ -226,6 +228,12 @@ func WithTransport(make func(ranks int) Transport) Option {
 // version-chain DAG, so all loops of a runtime must be issued from a
 // single goroutine: program order of that goroutine is what defines the
 // dependency graph (see Loop.Async).
+//
+// ForkJoin and Dataflow run a loop's chunks on the runtime's pool and
+// Run joins them, so a loop must not be run from inside a kernel: the
+// kernel's pool worker blocks in the join, and once every worker is
+// blocked so, the chunks they wait for never run and the pool
+// deadlocks.
 type Runtime struct {
 	ex          *core.Executor
 	pool        *sched.Pool // owned (created by WithPoolSize); nil when shared
