@@ -383,8 +383,9 @@ func (e *Engine) ensureRealPartLocked(set *core.Set) (*setPart, error) {
 // indirect accesses through slot 0 are always local.
 func (e *Engine) derivePartLocked(set *core.Set, m *core.Map, target *setPart) *setPart {
 	owner := make([]int32, set.Size())
+	dim, data := m.Dim(), m.Data()
 	for el := range owner {
-		owner[el] = target.owner[m.At(el, 0)]
+		owner[el] = target.owner[data[el*dim]]
 	}
 	sp := &setPart{
 		set: set, owner: owner, derived: true,
@@ -413,8 +414,14 @@ func (e *Engine) ensureShardedLocked(d *core.Dat) (*localDat, error) {
 	for r := 0; r < e.ranks; r++ {
 		ids := sp.owned[r]
 		buf := make([]float64, len(ids)*dim)
-		for i, id := range ids {
-			copy(buf[i*dim:(i+1)*dim], global[int(id)*dim:(int(id)+1)*dim])
+		for i := 0; i < len(ids); {
+			// Copy each run of consecutive ids in one piece.
+			j := i + 1
+			for j < len(ids) && ids[j] == ids[j-1]+1 {
+				j++
+			}
+			copy(buf[i*dim:j*dim], global[int(ids[i])*dim:])
+			i = j
 		}
 		sd.vals[r] = buf
 	}

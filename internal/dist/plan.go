@@ -3,7 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"op2hpx/internal/core"
@@ -46,6 +46,16 @@ func (sp *setPart) finish(ranks int) {
 	sp.haloIDs = make([][]int32, ranks)
 	for r := range sp.haloSlot {
 		sp.haloSlot[r] = map[int32]int32{}
+	}
+	// One backing array, cut into exactly-sized blocks.
+	count := make([]int, ranks)
+	for _, r := range sp.owner {
+		count[r]++
+	}
+	all := make([]int32, 0, len(sp.owner))
+	for r, n := range count {
+		sp.owned[r] = all[len(all) : len(all) : len(all)+n]
+		all = all[:len(all)+n]
 	}
 	for e, r := range sp.owner {
 		sp.local[e] = int32(len(sp.owned[r]))
@@ -121,14 +131,17 @@ type loopPlan struct {
 	name string
 	itsp *setPart
 
-	dats    map[*core.Dat]*localDat // every declared dat; nil: the host array
-	sds     []*localDat             // per arg: the sharded dat it accesses, nil otherwise
-	readSDs []*localDat             // sharded dats imported through the halo, in arg order
-	repl    []*core.Dat             // dats read as replicated (plan invalidated if sharded later)
+	dats     map[*core.Dat]*localDat // every declared dat; nil: the host array
+	sds      []*localDat             // per arg: the sharded dat it accesses, nil otherwise
+	readSDs  []*localDat             // sharded dats imported through the halo, in arg order
+	reads    []planArg               // sharded args whose target may be a halo value
+	incs     []planArg               // sharded increments through maps
+	taintSDs []*localDat             // distinct dats of incs, in arg order
+	repl     []*core.Dat             // dats read as replicated (plan invalidated if sharded later)
 
 	gbl             gblLayout
 	needElementwise bool  // any Inc global: reduction folds per element in serial order
-	foldOrder       []int // serial element order (plan colors/blocks/elements)
+	foldOrder       []int // serial element order (plan colors/blocks/elements), built only when read
 
 	ranks []*rankPlan
 }
@@ -362,8 +375,6 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 		sds:  make([]*localDat, len(l.Args)),
 		gbl:  gblLayout{offs: make([]int, len(l.Args)), allInc: true},
 	}
-	var incArgs []int
-	seenRead := map[*localDat]bool{}
 	for i, a := range l.Args {
 		lp.gbl.offs[i] = -1
 		if a.IsGlobal() {
@@ -396,47 +407,28 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 			lp.sds[i] = ld
 		}
 		lp.dats[d] = ld
-		if a.Map() != nil && a.Acc() == core.Inc {
-			incArgs = append(incArgs, i)
-		}
 	}
-	// Sharded dats that can need imports: indirect reads, and direct
-	// reads of exec-halo elements (which only increment loops have).
-	for i, a := range l.Args {
-		sd := lp.sds[i]
-		if sd == nil || seenRead[sd] {
-			continue
+	lp.classifyArgs()
+
+	if len(lp.incs) > 0 {
+		plan, err := core.LoopPlan(l, e.blockSize)
+		if err != nil {
+			return nil, err
 		}
-		direct := a.Map() == nil && a.Acc() != core.Write && len(incArgs) > 0
-		if direct || (a.Map() != nil && a.Acc() == core.Read) {
-			seenRead[sd] = true
-			lp.readSDs = append(lp.readSDs, sd)
+		lp.foldOrder = plan.ElementOrder()
+	} else if lp.needElementwise {
+		// No indirect increment: the plan is one colour in ascending
+		// element order.
+		lp.foldOrder = make([]int, l.Set.Size())
+		for el := range lp.foldOrder {
+			lp.foldOrder[el] = el
 		}
 	}
 
-	plan, err := core.LoopPlan(l, e.blockSize)
-	if err != nil {
-		return nil, err
-	}
-	lp.foldOrder = plan.ElementOrder()
-
-	// Every element executes on its owner; an increment loop's element
-	// also executes on every rank owning one of its increment targets.
-	execs := make([][]int32, e.ranks)
-	for _, el := range lp.foldOrder {
-		o := int(lp.itsp.owner[el])
-		execs[o] = append(execs[o], int32(el))
-		for _, i := range incArgs {
-			a := l.Args[i]
-			q := int(lp.sds[i].sp.owner[a.Map().At(el, a.Idx())])
-			if q != o && (len(execs[q]) == 0 || execs[q][len(execs[q])-1] != int32(el)) {
-				execs[q] = append(execs[q], int32(el))
-			}
-		}
-	}
+	execs := e.execLists(lp)
 	lp.ranks = make([]*rankPlan, e.ranks)
 	for r := range lp.ranks {
-		lp.ranks[r] = e.buildRankLocked(lp, r, execs[r], incArgs)
+		lp.ranks[r] = e.buildRankLocked(lp, r, execs[r])
 	}
 	scheds := e.buildReadSchedules(lp.readSDs, func(r int, sd *localDat) []int32 {
 		return lp.ranks[r].imports[sd]
@@ -446,6 +438,92 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 	}
 	e.plans[key] = lp
 	return lp, nil
+}
+
+// planArg is a sharded argument classified once per loop plan, so the
+// rank-plan builder's per-element tests index flat arrays.
+type planArg struct {
+	owner    []int32 // the dat's set: global element → owning rank
+	local    []int32 // the dat's set: global element → index in its owner's block
+	data     []int32 // map table; nil for a direct access
+	dim, idx int     // map row width and the slot the argument accesses
+	slot     int     // position of the dat in loopPlan.readSDs (reads) or taintSDs (incs)
+}
+
+// target returns the element of the dat's set that element el accesses.
+func (a *planArg) target(el int32) int32 {
+	if a.data == nil {
+		return el
+	}
+	return a.data[int(el)*a.dim+a.idx]
+}
+
+// classifyArgs sorts the sharded arguments into increments through maps
+// and reads that may import a halo value: reads through maps, and direct
+// reads, which import only on exec-halo elements and so only in
+// increment loops. The distinct dats of each kind, in argument order,
+// are taintSDs and readSDs; the latter are the dats the loop's read-halo
+// exchange imports.
+func (lp *loopPlan) classifyArgs() {
+	classify := func(i int, sds *[]*localDat) planArg {
+		a, sd := lp.l.Args[i], lp.sds[i]
+		pa := planArg{owner: sd.sp.owner, local: sd.sp.local, idx: a.Idx()}
+		if m := a.Map(); m != nil {
+			pa.data, pa.dim = m.Data(), m.Dim()
+		}
+		pa.slot = slices.Index(*sds, sd)
+		if pa.slot < 0 {
+			pa.slot = len(*sds)
+			*sds = append(*sds, sd)
+		}
+		return pa
+	}
+	for i, a := range lp.l.Args {
+		if lp.sds[i] != nil && a.Map() != nil && a.Acc() == core.Inc {
+			lp.incs = append(lp.incs, classify(i, &lp.taintSDs))
+		}
+	}
+	for i, a := range lp.l.Args {
+		direct := a.Map() == nil && a.Acc() != core.Write && len(lp.incs) > 0
+		if lp.sds[i] != nil && (direct || a.Map() != nil && a.Acc() == core.Read) {
+			lp.reads = append(lp.reads, classify(i, &lp.readSDs))
+		}
+	}
+}
+
+// execLists returns, per rank, the elements it executes in serial plan
+// order: every element executes on its owner, and an increment loop's
+// element also executes on every rank owning one of its increment
+// targets. The lists are read-only: without increments they are the
+// owned blocks themselves.
+func (e *Engine) execLists(lp *loopPlan) [][]int32 {
+	owned := lp.itsp.owned
+	if len(lp.incs) == 0 {
+		return owned
+	}
+	execs := make([][]int32, e.ranks)
+	last := make([]int32, e.ranks) // the element last added per rank
+	for r := range execs {
+		// The owned block plus headroom for the exec halo, which is a
+		// thin layer along the partition boundary.
+		execs[r] = make([]int32, 0, len(owned[r])+len(owned[r])/8+8)
+		last[r] = -1
+	}
+	owner := lp.itsp.owner
+	for _, x := range lp.foldOrder {
+		el := int32(x)
+		o := owner[el]
+		execs[o] = append(execs[o], el)
+		last[o] = el
+		for k := range lp.incs {
+			a := &lp.incs[k]
+			if q := a.owner[a.target(el)]; last[q] != el {
+				execs[q] = append(execs[q], el)
+				last[q] = el
+			}
+		}
+	}
+	return execs
 }
 
 // buildRankLocked derives rank r's slice of a loop plan from the
@@ -459,50 +537,35 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 // every owned target then takes its contributions before the gate
 // followed by those after it, each group in serial order, which is the
 // serial order itself.
-func (e *Engine) buildRankLocked(lp *loopPlan, r int, exec []int32, incArgs []int) *rankPlan {
+func (e *Engine) buildRankLocked(lp *loopPlan, r int, exec []int32) *rankPlan {
 	l, itsp := lp.l, lp.itsp
+	r32 := int32(r)
 	rp := &rankPlan{nOwned: len(itsp.owned[r]), imports: map[*localDat][]int32{}}
-	needs := map[*localDat]map[int32]bool{}
-	tainted := map[*localDat][]bool{}
-	for _, i := range incArgs {
-		sd := lp.sds[i]
-		if tainted[sd] == nil {
-			tainted[sd] = make([]bool, len(sd.sp.owned[r]))
-		}
+	needs := make([][]int32, len(lp.readSDs)) // halo ids read per dat, with repeats
+	taint := make([][]bool, len(lp.taintSDs)) // owned targets with a contributor after the gate
+	for k, sd := range lp.taintSDs {
+		taint[k] = make([]bool, len(sd.sp.owned[r]))
 	}
-	var early, late []int32
-	var targets []*bool // the current element's owned increment targets
-	for _, el := range exec {
+	lis := make([]int32, len(exec))
+	early := make([]int32, 0, len(exec))
+	var late []int32
+	targets := make([]*bool, 0, len(lp.incs)) // the current element's owned increment targets
+	for x, el := range exec {
 		li := itsp.localFor(r, el)
-		halo := false
-		for i, a := range l.Args {
-			sd := lp.sds[i]
-			if sd == nil {
-				continue
+		lis[x] = li
+		after := false
+		for k := range lp.reads {
+			a := &lp.reads[k]
+			if id := a.target(el); a.owner[id] != r32 {
+				after = true
+				needs[a.slot] = append(needs[a.slot], id)
 			}
-			id := el
-			switch {
-			case a.Map() == nil && a.Acc() != core.Write:
-			case a.Map() != nil && a.Acc() == core.Read:
-				id = int32(a.Map().At(int(el), a.Idx()))
-			default:
-				continue
-			}
-			if sd.sp.owner[id] == int32(r) {
-				continue
-			}
-			halo = true
-			if needs[sd] == nil {
-				needs[sd] = map[int32]bool{}
-			}
-			needs[sd][id] = true
 		}
-		after := halo
 		targets = targets[:0]
-		for _, i := range incArgs {
-			a, sd := l.Args[i], lp.sds[i]
-			if t := int32(a.Map().At(int(el), a.Idx())); sd.sp.owner[t] == int32(r) {
-				mark := &tainted[sd][sd.sp.local[t]]
+		for k := range lp.incs {
+			a := &lp.incs[k]
+			if t := a.target(el); a.owner[t] == r32 {
+				mark := &taint[a.slot][a.local[t]]
 				after = after || *mark
 				targets = append(targets, mark)
 			}
@@ -516,18 +579,22 @@ func (e *Engine) buildRankLocked(lp *loopPlan, r int, exec []int32, incArgs []in
 			early = append(early, li)
 		}
 	}
-	for sd, set := range needs {
-		ids := make([]int32, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
+	for k, ids := range needs {
+		if len(ids) == 0 {
+			continue
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		sd := lp.readSDs[k]
+		for _, id := range ids {
 			sd.sp.localFor(r, id) // every rank's recv slots, hosted or not
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		rp.imports[sd] = ids
 	}
-	rp.runs = e.runsOf(early, rp.nOwned)
+	rp.runs = make([]execRun, 0, e.countRuns(early, rp.nOwned)+e.countRuns(late, rp.nOwned))
+	rp.runs = e.appendRuns(rp.runs, early, rp.nOwned)
 	rp.nEarly = len(rp.runs)
-	rp.runs = append(rp.runs, e.runsOf(late, rp.nOwned)...)
+	rp.runs = e.appendRuns(rp.runs, late, rp.nOwned)
 
 	if e.local < 0 || e.local == r {
 		rp.maps = map[*core.Map][]int32{}
@@ -538,16 +605,17 @@ func (e *Engine) buildRankLocked(lp *loopPlan, r int, exec []int32, incArgs []in
 				continue
 			}
 			tsp := e.sets[m.To()]
-			dim := m.Dim()
+			dim, data := m.Dim(), m.Data()
 			lm := make([]int32, n*dim)
-			for _, el := range exec {
-				li := int(itsp.localFor(r, el))
-				for k := 0; k < dim; k++ {
-					t := int32(m.At(int(el), k))
-					if tsp != nil {
-						t = tsp.localFor(r, t)
-					}
-					lm[li*dim+k] = t
+			for x, el := range exec {
+				row := data[int(el)*dim : int(el+1)*dim]
+				dst := lm[int(lis[x])*dim:][:dim]
+				if tsp == nil {
+					copy(dst, row)
+					continue
+				}
+				for k, t := range row {
+					dst[k] = tsp.localFor(r, t)
 				}
 			}
 			rp.maps[m] = lm
@@ -561,18 +629,37 @@ func (e *Engine) buildRankLocked(lp *loopPlan, r int, exec []int32, incArgs []in
 	return rp
 }
 
-// runsOf groups the local indices idx, in order, into maximal runs of
-// consecutive indices that stay on one side of the owned/halo boundary
-// and span at most one block.
-func (e *Engine) runsOf(idx []int32, nOwned int) []execRun {
-	var runs []execRun
+// extendsRun reports whether local index li continues run: it is the
+// next index, on the same side of the owned/halo boundary, and the run
+// spans less than a block.
+func (e *Engine) extendsRun(run execRun, li int32, nOwned int) bool {
+	return li == run.hi && li != int32(nOwned) && int(run.hi-run.lo) < e.blockSize
+}
+
+// countRuns reports how many runs appendRuns makes of idx.
+func (e *Engine) countRuns(idx []int32, nOwned int) int {
+	n := 0
+	var run execRun
+	for i, li := range idx {
+		if i > 0 && e.extendsRun(run, li, nOwned) {
+			run.hi++
+			continue
+		}
+		run = execRun{lo: li, hi: li + 1}
+		n++
+	}
+	return n
+}
+
+// appendRuns groups the local indices idx, in order, into maximal runs
+// of consecutive indices that stay on one side of the owned/halo
+// boundary and span at most one block, and appends them to runs.
+func (e *Engine) appendRuns(runs []execRun, idx []int32, nOwned int) []execRun {
+	first := len(runs)
 	for _, li := range idx {
-		if k := len(runs) - 1; k >= 0 {
-			last := &runs[k]
-			if li == last.hi && li != int32(nOwned) && int(last.hi-last.lo) < e.blockSize {
-				last.hi++
-				continue
-			}
+		if k := len(runs) - 1; k >= first && e.extendsRun(runs[k], li, nOwned) {
+			runs[k].hi++
+			continue
 		}
 		runs = append(runs, execRun{lo: li, hi: li + 1})
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -429,16 +430,10 @@ func unionHaloIDs(lps []*loopPlan, occs []int, r int, sd *localDat) []int32 {
 	if len(occs) == 1 {
 		return lps[occs[0]].ranks[r].imports[sd]
 	}
-	need := map[int32]bool{}
 	var ids []int32
 	for _, o := range occs {
-		for _, id := range lps[o].ranks[r].imports[sd] {
-			if !need[id] {
-				need[id] = true
-				ids = append(ids, id)
-			}
-		}
+		ids = append(ids, lps[o].ranks[r].imports[sd]...)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

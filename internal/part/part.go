@@ -25,7 +25,7 @@ package part
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"op2hpx/internal/core"
 )
@@ -65,6 +65,13 @@ func (t *Topology) Neighbors(e int) []int32 { return t.AdjIdx[t.AdjPtr[e]:t.AdjP
 // the two cells of an edge) becomes a graph edge. Call it for every map
 // that carries increments across elements, then the adjacency mirrors the
 // communication the partition will induce.
+//
+// The build is a linear-time counting pass over the map table: count
+// both directions of every co-target pair (and the edges already
+// present), fill the rows, then sort and deduplicate each row in place.
+// The result is an exactly-sized CSR with ascending rows, the same for
+// any order of the map's rows, and it allocates a fixed number of arrays
+// whatever the mesh size.
 func (t *Topology) AddAdjacencyMap(m *core.Map) error {
 	if m == nil {
 		return fmt.Errorf("part: nil adjacency map")
@@ -73,46 +80,69 @@ func (t *Topology) AddAdjacencyMap(m *core.Map) error {
 		return fmt.Errorf("part: adjacency map %q targets %d elements, topology has %d",
 			m.Name(), m.To().Size(), t.N)
 	}
-	type pair struct{ a, b int32 }
-	seen := make(map[pair]bool)
-	// Re-add existing edges so rebuilding the CSR keeps them.
-	for e := 0; e < len(t.AdjPtr)-1; e++ {
-		for _, nb := range t.Neighbors(e) {
-			seen[pair{int32(e), nb}] = true
+	dim, data := m.Dim(), m.Data()
+	old := t.HasAdjacency()
+	// Pass 1: row lengths, duplicates included, in ptr[e+1].
+	ptr := make([]int32, t.N+1)
+	if old {
+		for e := 0; e < t.N; e++ {
+			ptr[e+1] = int32(t.Degree(e))
 		}
 	}
-	dim := m.Dim()
-	for e := 0; e < m.From().Size(); e++ {
-		for i := 0; i < dim; i++ {
-			for j := i + 1; j < dim; j++ {
-				a, b := int32(m.At(e, i)), int32(m.At(e, j))
-				if a == b {
-					continue
+	for row := 0; row+dim <= len(data); row += dim {
+		for i := row; i < row+dim; i++ {
+			for j := i + 1; j < row+dim; j++ {
+				if a, b := data[i], data[j]; a != b {
+					ptr[a+1]++
+					ptr[b+1]++
 				}
-				seen[pair{a, b}] = true
-				seen[pair{b, a}] = true
 			}
 		}
 	}
-	deg := make([]int32, t.N+1)
-	for p := range seen {
-		deg[p.a+1]++
-	}
-	for i := 0; i < t.N; i++ {
-		deg[i+1] += deg[i]
-	}
-	idx := make([]int32, len(seen))
-	fill := append([]int32(nil), deg[:t.N]...)
-	for p := range seen {
-		idx[fill[p.a]] = p.b
-		fill[p.a]++
-	}
-	// Deterministic neighbour order (map iteration is random).
 	for e := 0; e < t.N; e++ {
-		nb := idx[deg[e]:deg[e+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		ptr[e+1] += ptr[e]
 	}
-	t.AdjPtr, t.AdjIdx = deg, idx
+	// Pass 2: fill, advancing ptr[e] as row e's cursor; afterwards
+	// ptr[e] holds row e's end, and shifting by one restores the starts.
+	idx := make([]int32, ptr[t.N])
+	if old {
+		for e := 0; e < t.N; e++ {
+			ptr[e] += int32(copy(idx[ptr[e]:], t.Neighbors(e)))
+		}
+	}
+	for row := 0; row+dim <= len(data); row += dim {
+		for i := row; i < row+dim; i++ {
+			for j := i + 1; j < row+dim; j++ {
+				if a, b := data[i], data[j]; a != b {
+					idx[ptr[a]], idx[ptr[b]] = b, a
+					ptr[a]++
+					ptr[b]++
+				}
+			}
+		}
+	}
+	copy(ptr[1:], ptr[:t.N])
+	ptr[0] = 0
+	// Sort each row and compact it, deduplicated, to the left.
+	w, lo := int32(0), int32(0)
+	for e := 0; e < t.N; e++ {
+		hi := ptr[e+1]
+		nb := idx[lo:hi]
+		slices.Sort(nb)
+		ptr[e] = w
+		for k, v := range nb {
+			if k == 0 || v != nb[k-1] {
+				idx[w] = v
+				w++
+			}
+		}
+		lo = hi
+	}
+	ptr[t.N] = w
+	if int(w) < len(idx) {
+		idx = append(make([]int32, 0, w), idx[:w]...)
+	}
+	t.AdjPtr, t.AdjIdx = ptr, idx
 	return nil
 }
 
@@ -148,18 +178,20 @@ func (t *Topology) SetCentroidsVia(via *core.Map, coords *core.Dat) error {
 	}
 	dim := coords.Dim()
 	data := coords.Data()
+	vdim, rows := via.Dim(), via.Data()
 	t.CoordDim = dim
 	t.Coords = make([]float64, t.N*dim)
-	inv := 1.0 / float64(via.Dim())
+	inv := 1.0 / float64(vdim)
 	for e := 0; e < t.N; e++ {
-		for k := 0; k < via.Dim(); k++ {
-			p := via.At(e, k) * dim
-			for d := 0; d < dim; d++ {
-				t.Coords[e*dim+d] += data[p+d]
+		c := t.Coords[e*dim : (e+1)*dim]
+		for _, p := range rows[e*vdim : (e+1)*vdim] {
+			x := data[int(p)*dim:][:dim]
+			for d := range c {
+				c[d] += x[d]
 			}
 		}
-		for d := 0; d < dim; d++ {
-			t.Coords[e*dim+d] *= inv
+		for d := range c {
+			c[d] *= inv
 		}
 	}
 	return nil

@@ -44,11 +44,17 @@ const (
 	ckptMagic   = "OP2CKPT\n"
 	ckptVersion = 1
 
-	// ckptMaxSection bounds one name or value-vector length claim: far
-	// above any real mesh, low enough that a corrupt length field cannot
-	// drive a multi-gigabyte allocation before the checksum would catch it.
+	// ckptMaxName and ckptMaxSection bound the name-length, section-count
+	// and value-count claims a file can make. A claim is not an
+	// allocation: the loader allocates only for data it has read, at most
+	// ckptChunk values ahead and ckptMaxHint map slots, so a corrupt
+	// length field fails at the short read, after a bounded allocation,
+	// rather than driving a multi-gigabyte one before the checksum would
+	// catch it.
 	ckptMaxName    = 4096
 	ckptMaxSection = 1 << 31
+	ckptChunk      = 4096 // values read per step
+	ckptMaxHint    = 64   // map size hint cap for a section count
 )
 
 var ckptTable = crc64.MakeTable(crc64.ECMA)
@@ -126,8 +132,10 @@ func corruptf(format string, args ...any) error {
 }
 
 // ReadCheckpoint decodes a checkpoint written by WriteTo, verifying the
-// magic, version, every length field and the trailing checksum. Any
-// violation is ErrCheckpointCorrupt.
+// magic, version, every length field, the canonical (strictly ascending)
+// section order, the trailing checksum and that nothing follows it. Any
+// violation is ErrCheckpointCorrupt. A file that decodes re-encodes to
+// the same bytes.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	h := crc64.New(ckptTable)
 	tr := io.TeeReader(r, h)
@@ -162,6 +170,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, corruptf("short read at step: %v", err)
 	}
 
+	var chunk []byte // value bytes of one read step, reused
 	section := func(kind string) (map[string][]float64, error) {
 		count, err := readU32()
 		if err != nil {
@@ -170,7 +179,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if count > ckptMaxSection {
 			return nil, corruptf("implausible %s count %d", kind, count)
 		}
-		m := make(map[string][]float64, count)
+		m := make(map[string][]float64, min(count, ckptMaxHint))
+		prev := ""
 		for i := uint32(0); i < count; i++ {
 			nameLen, err := readU32()
 			if err != nil {
@@ -183,9 +193,10 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			if _, err := io.ReadFull(tr, name); err != nil {
 				return nil, corruptf("short read in %s name: %v", kind, err)
 			}
-			if _, dup := m[string(name)]; dup {
-				return nil, corruptf("%s %q appears twice", kind, name)
+			if i > 0 && string(name) <= prev {
+				return nil, corruptf("%s %q follows %q: names must be unique and ascending", kind, name, prev)
 			}
+			prev = string(name)
 			n, err := readU64()
 			if err != nil {
 				return nil, corruptf("short read at %s %q length: %v", kind, name, err)
@@ -193,15 +204,23 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			if n > ckptMaxSection {
 				return nil, corruptf("implausible %s %q length %d", kind, name, n)
 			}
-			vals := make([]float64, n)
-			for k := range vals {
-				bits, err := readU64()
-				if err != nil {
-					return nil, corruptf("truncated inside %s %q (%d of %d values): %v", kind, name, k, n, err)
+			// Grow the vector as values arrive, never ahead of them by more
+			// than one chunk.
+			vals := make([]float64, 0, min(n, ckptChunk))
+			for uint64(len(vals)) < n {
+				k := int(min(n-uint64(len(vals)), ckptChunk))
+				if len(chunk) < 8*k {
+					chunk = make([]byte, 8*k)
 				}
-				vals[k] = math.Float64frombits(bits)
+				b := chunk[:8*k]
+				if got, err := io.ReadFull(tr, b); err != nil {
+					return nil, corruptf("truncated inside %s %q (%d of %d values): %v", kind, name, len(vals)+got/8, n, err)
+				}
+				for j := 0; j < k; j++ {
+					vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:])))
+				}
 			}
-			m[string(name)] = vals
+			m[prev] = vals
 		}
 		return m, nil
 	}
@@ -222,6 +241,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	if got := binary.LittleEndian.Uint64(trailer[:]); got != want {
 		return nil, corruptf("checksum mismatch: file says %016x, content hashes to %016x", got, want)
+	}
+	switch _, err := io.ReadFull(r, trailer[:1]); {
+	case err == nil:
+		return nil, corruptf("data after the checksum trailer")
+	case err != io.EOF:
+		return nil, corruptf("reading past the checksum trailer: %v", err)
 	}
 	return &Checkpoint{Step: int(step), dats: dats, gbls: gbls}, nil
 }

@@ -2,16 +2,19 @@ package op2_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"op2hpx/op2"
 )
 
 // encodeCkpt renders a checkpoint to bytes, failing the test on error.
-func encodeCkpt(t *testing.T, cp *op2.Checkpoint) []byte {
+func encodeCkpt(t testing.TB, cp *op2.Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := cp.WriteTo(&buf)
@@ -25,7 +28,7 @@ func encodeCkpt(t *testing.T, cp *op2.Checkpoint) []byte {
 }
 
 // decayCkpt runs the decay program cut steps and snapshots it.
-func decayCkpt(t *testing.T, cut int) *op2.Checkpoint {
+func decayCkpt(t testing.TB, cut int) *op2.Checkpoint {
 	t.Helper()
 	rt := op2.MustNew()
 	defer rt.Close()
@@ -93,44 +96,125 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointLoaderRejectsDamage: every way a checkpoint file can be
-// damaged — truncation at EVERY byte offset, a flipped content byte, a
-// flipped checksum byte, wrong magic, an unknown version, an implausible
-// length claim — yields a typed ErrCheckpointCorrupt, never a decoded
-// checkpoint and never a panic.
-func TestCheckpointLoaderRejectsDamage(t *testing.T) {
-	raw := encodeCkpt(t, decayCkpt(t, 3))
-
-	mustCorrupt := func(label string, b []byte) {
-		t.Helper()
-		cp, err := op2.ReadCheckpoint(bytes.NewReader(b))
-		if !errors.Is(err, op2.ErrCheckpointCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrCheckpointCorrupt", label, err)
-		}
-		if cp != nil {
-			t.Fatalf("%s: loader returned a checkpoint alongside the error", label)
-		}
-	}
-
-	for cut := 0; cut < len(raw); cut++ {
-		mustCorrupt("truncated", raw[:cut])
-	}
-
+// damagedCkpts derives from a valid encoding raw one file per damage
+// mode the loader must refuse, except truncation, which callers apply at
+// the offsets they choose.
+func damagedCkpts(raw []byte) map[string][]byte {
 	flip := func(i int) []byte {
 		b := append([]byte(nil), raw...)
 		b[i] ^= 0x40
 		return b
 	}
-	mustCorrupt("bad magic", flip(0))
-	mustCorrupt("unknown version", flip(8))
-	mustCorrupt("flipped content byte", flip(len(raw)/2))
-	mustCorrupt("flipped checksum byte", flip(len(raw)-1))
-
 	// An absurd dat count (offset 20: after magic, version, step) must be
 	// rejected by the plausibility bound before it can drive allocation.
 	huge := append([]byte(nil), raw...)
 	huge[20], huge[21], huge[22], huge[23] = 0xff, 0xff, 0xff, 0xff
-	mustCorrupt("implausible section count", huge)
+	return map[string][]byte{
+		"bad magic":                 flip(0),
+		"unknown version":           flip(8),
+		"flipped content byte":      flip(len(raw) / 2),
+		"flipped checksum byte":     flip(len(raw) - 1),
+		"implausible section count": huge,
+		"trailing byte":             append(append([]byte(nil), raw...), 0),
+	}
+}
+
+// mustCorrupt asserts the loader refuses b typed, without a checkpoint.
+func mustCorrupt(t testing.TB, label string, b []byte) {
+	t.Helper()
+	cp, err := op2.ReadCheckpoint(bytes.NewReader(b))
+	if !errors.Is(err, op2.ErrCheckpointCorrupt) {
+		t.Fatalf("%s: err = %v, want ErrCheckpointCorrupt", label, err)
+	}
+	if cp != nil {
+		t.Fatalf("%s: loader returned a checkpoint alongside the error", label)
+	}
+}
+
+// TestCheckpointLoaderRejectsDamage: every way a checkpoint file can be
+// damaged — truncation at EVERY byte offset, a flipped content byte, a
+// flipped checksum byte, wrong magic, an unknown version, an implausible
+// length claim, bytes after the trailer — yields a typed
+// ErrCheckpointCorrupt, never a decoded checkpoint and never a panic.
+func TestCheckpointLoaderRejectsDamage(t *testing.T) {
+	raw := encodeCkpt(t, decayCkpt(t, 3))
+	for cut := 0; cut < len(raw); cut++ {
+		mustCorrupt(t, "truncated", raw[:cut])
+	}
+	for label, b := range damagedCkpts(raw) {
+		mustCorrupt(t, label, b)
+	}
+}
+
+// ckptHeader encodes the start of a checkpoint file: magic, version,
+// step, a section count of one and one dat named name claiming n values.
+func ckptHeader(name string, n uint64) []byte {
+	b := []byte("OP2CKPT\n")
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))
+	b = append(b, name...)
+	return binary.LittleEndian.AppendUint64(b, n)
+}
+
+// TestCheckpointClaimDoesNotAllocate: a header claiming 1<<24 values
+// (128 MiB) followed by EOF is refused after allocating for the data
+// actually present, not for the claim.
+func TestCheckpointClaimDoesNotAllocate(t *testing.T) {
+	b := ckptHeader("q", 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustCorrupt(t, "claim then EOF", b)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("loader allocated %d bytes for a file of %d bytes", grew, len(b))
+	}
+}
+
+// TestCheckpointRejectsUnsortedNames: WriteTo emits sections in strictly
+// ascending name order, so a file with names out of order or repeated
+// (even with a valid checksum) is not one it wrote.
+func TestCheckpointRejectsUnsortedNames(t *testing.T) {
+	body := ckptHeader("b", 0)
+	body[20] = 2 // two dats
+	body = binary.LittleEndian.AppendUint32(body, 1)
+	body = append(body, 'a')
+	body = binary.LittleEndian.AppendUint64(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, 0) // no globals
+	file := binary.LittleEndian.AppendUint64(body, crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+	mustCorrupt(t, "names out of order", file)
+}
+
+// FuzzReadCheckpoint feeds the loader arbitrary bytes: each input is
+// either refused typed, with no checkpoint, or decodes to a checkpoint
+// whose encoding is the input byte for byte. The seeds are a valid file,
+// its truncations and every damage mode of the loader's table test.
+func FuzzReadCheckpoint(f *testing.F) {
+	raw := encodeCkpt(f, decayCkpt(f, 3))
+	f.Add(raw)
+	for _, cut := range []int{0, 8, 12, 20, 24, 30, len(raw) / 2, len(raw) - 8, len(raw) - 1} {
+		f.Add(raw[:cut])
+	}
+	for _, b := range damagedCkpts(raw) {
+		f.Add(b)
+	}
+	f.Add(ckptHeader("q", 1<<24))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cp, err := op2.ReadCheckpoint(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, op2.ErrCheckpointCorrupt) {
+				t.Fatalf("err = %v, want ErrCheckpointCorrupt", err)
+			}
+			if cp != nil {
+				t.Fatal("loader returned a checkpoint alongside the error")
+			}
+			return
+		}
+		if again := encodeCkpt(t, cp); !bytes.Equal(again, b) {
+			t.Fatalf("decoded input of %d bytes re-encodes to %d different bytes", len(b), len(again))
+		}
+	})
 }
 
 // TestDirCheckpointsStore: the file-per-job store round-trips, reports
