@@ -1,5 +1,6 @@
-// Package futurecontract enforces the pooled-future recycling contract:
-// a Future returned by Async "is valid until its first Wait returns" —
+// Package futurecontract enforces a discipline that keeps callers inside
+// the pooled-future recycling contract: a Future returned by Async reads
+// its own verdict only until its loop's or step's next-but-one Async —
 // afterwards the runtime may recycle the issue state beneath it, and a
 // second Wait (or a stored copy consulted later) can observe a NEWER
 // issue of the same loop. The analyzer tracks local variables of future
@@ -19,8 +20,8 @@
 //
 // The packages that IMPLEMENT the recycling machinery — op2hpx/op2,
 // internal/core, internal/hpx, internal/dist — are exempt: they
-// legitimately touch recycled handles (sweeping wrapper maps, releasing
-// pooled states).
+// legitimately touch recycled handles (vending the one wrapper a pooled
+// state keeps, releasing pooled states).
 package futurecontract
 
 import (

@@ -45,8 +45,9 @@ type CompiledLoop struct {
 
 	body RangeBody // l.Binder() bound to the host arrays
 
-	runs   sync.Pool // *loopRun
-	issues issuePool // the loop's one-member issue units (see issue.go)
+	runs   sync.Pool   // *loopRun
+	issues issuePool   // the loop's one-member issue units (see issue.go)
+	held   *issueState // the unit of its latest RunAsyncCtx (see hold)
 
 	// hist caches the loop's op2_loop_seconds handle — one atomic load
 	// per execution once registered (see CompiledLoop.histFor).

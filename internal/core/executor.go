@@ -201,8 +201,9 @@ func (ex *Executor) RunCtx(ctx context.Context, l *Loop) error {
 // the dependency DAG — the same contract the paper's modified Airfoil.cpp
 // relies on.
 //
-// The returned Future is pooled: its first Wait consumes it, after which
-// the loop's next issue may reuse the underlying state (see core.Future).
+// The returned Future is pooled: it reads its own verdict until the
+// loop's next-but-one issue, which may reuse the underlying state (see
+// core.Future).
 // Steady-state issue of a compiled loop allocates nothing — dependencies
 // are linked as intrusive continuations onto the predecessors' wait-lists
 // instead of being awaited by a per-issue goroutine.
@@ -227,6 +228,7 @@ func (ex *Executor) RunAsyncCtx(ctx context.Context, l *Loop) Future {
 		return hpx.MakeErr[struct{}](err)
 	}
 	is := cl.acquireIssue(ctx)
+	cl.hold(is)
 	is.issue(cl.res)
 	return &is.members[0].user
 }

@@ -18,24 +18,27 @@ import (
 // and a fused step group is a k-member unit pooled on its stepGroup. A
 // unit gathers and subscribes its dependencies once, through intrusive
 // continuations on the predecessors' wait-lists, records each member's
-// own chain future as that member's resources' new version, and recycles
-// whole once its futures have been consumed and its chain entries
-// displaced — steady-state Async issue allocates nothing (see
+// own chain future as that member's resources' new version, and returns
+// to its pool once it has resolved and its chain entries are displaced —
+// steady-state Async issue allocates nothing (see
 // TestSteadyStateAsyncLoopZeroAlloc).
 //
 // Lifecycle and safety:
 //
 //   - A unit has one reference count: one reference per version-chain
-//     record of every member (released when a later record or a
-//     settled-entry compaction displaces it), one per member user handle
-//     (released by its first Wait, or by an owner's sweep through
-//     TryRelease), one for the in-flight issue itself and one for a
-//     cancellation monitor. The unit recycles only at zero references
-//     AND with every member's chain resolved successfully — a unit with a
-//     failed member is dropped, so a stale reference (a host fence that
-//     copied a version chain) can never miss an error: it observes either
-//     the settled success verdict or blocks until the unit's next cycle
-//     resolves (over-waiting is safe; missing an error would not be).
+//     record of every member (released when a later record, a gather or
+//     a fence displaces it), one for the in-flight issue itself, one for
+//     a cancellation monitor, and — for the unit of a loop's latest
+//     RunAsyncCtx — one held until that loop's next RunAsyncCtx (see
+//     CompiledLoop.hold). User handles hold none: nothing the caller
+//     keeps pins a synced pipeline. The unit recycles only at zero
+//     references AND with every member's chain resolved successfully — a
+//     unit with a failed member is dropped, so its handles keep their
+//     error and a stale reference (a host fence that copied a version
+//     chain, a handle kept past its issuer's next-but-one issue) can never
+//     miss one: it observes either the settled success verdict or blocks
+//     until the unit's next cycle resolves (over-waiting is safe; missing
+//     an error would not be).
 //   - All acquisition, gathering, subscription and recording happens on
 //     the single issuing goroutine (the same contract that makes program
 //     order define the DAG). A unit is acquired once, before it gathers,
@@ -48,15 +51,17 @@ import (
 //     futures keep draining, so a successor write treating a resolved
 //     chain as "quiet" can never race a predecessor still executing.
 //
-// A step (stepIssue) is the join over its units' member user futures.
+// A step (stepIssue) is the join over its units' member user futures: it
+// subscribes to every one at issue and keeps only their latched verdicts,
+// so its members recycle independently of it.
 
 // Future is the completion handle of an asynchronously issued loop or
-// step. The first Wait consumes the handle: pooled implementations
-// release their issue state for reuse by the loop's next Async, so a
-// handle is valid until its first Wait returns (and, for handles backed
-// by a pooled state, until the loop's next issue after that). *hpx.Future
-// values satisfy Future too, which is what the validation-error paths
-// return.
+// step. A handle over a pooled state reads its own verdict until its
+// loop's or step's next-but-one issue; after that the state may have been
+// recycled for a newer issue, which a later Wait then observes — only a
+// successful issue is ever recycled, so a failed one keeps its error.
+// *hpx.Future values satisfy Future too, which is what the
+// validation-error paths return.
 type Future interface {
 	Wait() error
 	Ready() bool
@@ -193,56 +198,25 @@ func (h *chainHandle) release() {
 	}
 }
 
-// userReleaser is the owner a userHandle releases into.
-type userReleaser interface{ release() }
-
 // userHandle is the caller-facing completion future of a pooled issue.
-// The first Wait (from any goroutine) consumes it, releasing the handle's
-// reference on the pooled state.
+// It lives as long as its pooled state and holds no reference on it.
 type userHandle struct {
-	lco      hpx.LCO
-	released atomic.Bool
-	owner    userReleaser
+	lco    hpx.LCO
+	facade any // see Facade
 }
 
 //op2:noalloc
-func (h *userHandle) Wait() error {
-	err := h.lco.Wait()
-	if h.released.CompareAndSwap(false, true) {
-		h.owner.release()
-	}
-	return err
-}
-
+func (h *userHandle) Wait() error           { return h.lco.Wait() }
 func (h *userHandle) Ready() bool           { return h.lco.Ready() }
 func (h *userHandle) Done() <-chan struct{} { return h.lco.Done() }
 
-// TryRelease consumes an abandoned handle once its issue has resolved
-// successfully — the sweep hook issuers use to recycle pipelined issues
-// whose futures nobody waited on. It reports whether the handle is
-// consumed (now or previously); a pending issue, or a failed one nobody
-// has waited yet, stays live.
+// Facade is where a facade keeps the one wrapper it vends over this
+// handle: the handle comes back with every recycle of its state, so the
+// wrapper is built on the first issue and reused for the state's life.
+// Issuing goroutine only.
 //
 //op2:noalloc
-func (h *userHandle) TryRelease() bool {
-	if h.released.Load() {
-		return true
-	}
-	if !h.lco.Ready() || h.lco.Wait() != nil {
-		return false
-	}
-	if h.released.CompareAndSwap(false, true) {
-		h.owner.release()
-	}
-	return true
-}
-
-//op2:noalloc
-func (h *userHandle) reset(owner userReleaser) {
-	h.lco.ResetFresh()
-	h.released.Store(false)
-	h.owner = owner
-}
+func (h *userHandle) Facade() *any { return &h.facade }
 
 // ---------------------------------------------------------------------------
 // Issue units
@@ -341,7 +315,7 @@ func (is *issueState) rearm(ctx context.Context) {
 		m := &is.members[i]
 		m.abortErr = nil
 		m.chain.lco.ResetFresh()
-		m.user.reset(is)
+		m.user.lco.ResetFresh()
 	}
 	is.refs.Store(1) // the in-flight issue itself
 }
@@ -357,6 +331,19 @@ func (cl *CompiledLoop) acquireIssue(ctx context.Context) *issueState {
 	}
 	is.rearm(ctx)
 	return is
+}
+
+// hold keeps the unit of the loop's latest RunAsyncCtx from recycling
+// until the loop's next one, so a future waited before its loop's
+// next-but-one issue reads its own verdict.
+//
+//op2:noalloc
+func (cl *CompiledLoop) hold(is *issueState) {
+	is.refs.Add(1)
+	if cl.held != nil {
+		cl.held.release()
+	}
+	cl.held = is
 }
 
 // acquireGroup borrows and arms the unit of step group g with every
@@ -414,7 +401,6 @@ func (is *issueState) release() {
 //op2:noalloc
 func (is *issueState) issue(res []stepRes) {
 	is.subscribe(is.pool.gather(res))
-	is.refs.Add(int32(len(is.members))) // the user handles
 	is.record()
 	if is.ctx.Done() != nil {
 		if err := is.ctx.Err(); err != nil {
@@ -439,7 +425,6 @@ func (cl *CompiledLoop) issueFailAfterDeps(ctx context.Context, err error, hard,
 	m.abortErr = err
 	is.aborted.Store(true)
 	m.user.lco.Resolve(err)
-	m.user.released.Store(true) // no handle is vended
 	is.subscribe(hard, ordering)
 	is.record()
 	is.dw.finish()
@@ -569,82 +554,65 @@ func (is *issueState) done() {
 // Step issue
 
 // stepIssue is the pooled join of one asynchronously issued step: it
-// subscribes to the sink occurrences' user futures and, once they have
-// all fired, collects the first member error in program order onto the
-// step's own future — the continuation replacement of the per-step
-// completion goroutine.
+// subscribes to every issued occurrence's user future and, once they have
+// all fired, puts the first member error in program order onto the step's
+// own future — the continuation replacement of the per-step completion
+// goroutine. The subscriptions latch the members' verdicts, so the join
+// never touches a member after it has fired and members recycle without
+// waiting for it.
 type stepIssue struct {
-	sp    *StepPlan
-	users []*userHandle // per issued occurrence, in program order
-	dw    depWaiter
-	user  userHandle
-	refs  atomic.Int32
+	sp   *StepPlan
+	dw   depWaiter // one node per issued occurrence, in program order
+	user userHandle
+	refs atomic.Int32 // the completion scan + the plan's hold (see issueStep)
 }
 
 func (si *stepIssue) release() {
-	if si.refs.Add(-1) == 0 {
-		if settledOK(&si.user.lco) {
-			si.sp.issues.Put(si)
-		}
+	if si.refs.Add(-1) == 0 && settledOK(&si.user.lco) {
+		si.sp.issues.Put(si)
 	}
 }
 
-// depsReady: every awaited occurrence has resolved. Every member has
-// therefore settled (each non-sink member has a successor that waited
-// for its chain, and settle resolves a user future before its chain), so
-// the in-order scan below finds every handle resolved. Only cancellation
-// fails a user future before its dependencies drain; then the scan waits
-// for a predecessor still draining.
+// depsReady: every issued occurrence has resolved its user future.
+// Cancellation fails those promptly, before the members' chains drain;
+// a canceled step is never recycled, so that is harmless here.
 func (si *stepIssue) depsReady() {
-	var firstErr error
-	for _, h := range si.users {
-		// Waiting the user handle also consumes it: the step is the owner
-		// of its members' futures.
-		if err := h.Wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	// The op2 facade caches a wrapper per step future for the plan's
-	// life; dropping the consumed handles keeps that cache from holding
-	// every unit of the step's last cycle live.
-	clear(si.users)
-	si.user.lco.TryResolve(firstErr) // a compile failure resolved it already
+	si.user.lco.TryResolve(si.dw.firstHardErr()) // a compile failure resolved it already
 	si.release()
 }
 
 // issueStep issues every group of the step plan as one unit and returns
-// the step's user future.
+// the step's user future. The plan holds its latest join until its next
+// issue, so a step future waited before the step's next-but-one issue
+// reads its own verdict.
 func (ex *Executor) issueStep(ctx context.Context, sp *StepPlan) Future {
 	si, _ := sp.issues.Get().(*stepIssue)
 	if si == nil {
 		si = &stepIssue{sp: sp}
 		si.dw.owner = si
 	}
-	si.user.reset(si)
-	si.refs.Store(2) // completion scan + user handle
-	si.users = si.users[:0]
+	si.user.lco.ResetFresh()
+	si.refs.Store(2)
+	if sp.held != nil {
+		sp.held.release()
+	}
+	sp.held = si
 	si.dw.begin()
 	for _, g := range sp.groups {
 		is, err := ex.acquireGroup(ctx, sp, g)
 		if err != nil {
 			// A member failed to compile: nothing was issued for this
 			// group or the rest. The step fails with the compile error;
-			// the scan still consumes every occurrence already issued.
+			// the scan still waits for every occurrence already issued.
 			si.user.lco.Resolve(err)
-			for _, h := range si.users {
-				si.dw.await(&h.lco)
-			}
-			si.dw.finish()
-			return &si.user
+			break
 		}
 		is.issue(g.res)
 		for j := range is.members {
-			si.users = append(si.users, &is.members[j].user)
+			si.dw.await(&is.members[j].user.lco)
 		}
 	}
-	for _, s := range sp.sinks {
-		si.dw.await(&si.users[s].lco)
-	}
+	si.dw.nhard = si.dw.nsub // every member's verdict counts
 	si.dw.finish()
 	return &si.user
 }

@@ -158,3 +158,60 @@ func TestHostFenceImpliesLoopFutureReady(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnwaitedIssueRecycles pins that a caller's handle holds no
+// reference on its pooled state: a loop issue and a step join that
+// nobody waits drop to zero references once they have resolved, their
+// chain entries are displaced (here by a host fence) and the next issue
+// of the same loop or step has taken over the hold on its latest issue —
+// while that latest issue keeps exactly the hold.
+func TestUnwaitedIssueRecycles(t *testing.T) {
+	cells, _ := DeclSet(64, "cells")
+	d, _ := DeclDat(cells, 1, nil, "d")
+	ex := NewExecutor(Config{Backend: Dataflow, Chunker: hpx.StaticChunker(1 << 20)})
+	l := &Loop{Name: "inc", Set: cells,
+		Args: []Arg{ArgDat(d, IDIdx, nil, RW)},
+		Body: rangeOnly(func(lo, hi int, _ []float64) {
+			for i := lo; i < hi; i++ {
+				d.data[i]++
+			}
+		})}
+	sp, err := BuildStepPlan("s", []*Loop{l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := ex.compiled(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settles := func(what string, refs func() int32, want int32) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); refs() != want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s holds %d references, want %d", what, refs(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ctx := context.Background()
+	for round := 0; round < 20; round++ {
+		ex.RunAsyncCtx(ctx, l)
+		first := cl.held
+		ex.RunAsyncCtx(ctx, l)
+		second := cl.held
+		ex.RunStepAsyncCtx(ctx, sp)
+		firstStep := sp.held
+		ex.RunStepAsyncCtx(ctx, sp)
+		secondStep := sp.held
+		if first == second || firstStep == secondStep {
+			t.Fatalf("round %d: a second issue reused the held state", round)
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		settles("the first loop issue", first.refs.Load, 0)
+		settles("the latest loop issue", second.refs.Load, 1)
+		settles("the first step join", firstStep.refs.Load, 0)
+		settles("the latest step join", secondStep.refs.Load, 1)
+	}
+}

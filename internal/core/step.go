@@ -30,10 +30,6 @@ type StepPlan struct {
 	// the nearest writer plus the readers-since of every resource loop i
 	// writes (WAR, WAW), deduplicated.
 	deps [][]int
-	// sinks are the loops with no intra-step successors; once every sink
-	// has completed, every loop of the step has (each non-sink loop has a
-	// successor that waited for it).
-	sinks []int
 	// res[i] is loop i's distinct resource list with the strongest access
 	// seen — the precomputed form of what collectDeps derives per issue.
 	res [][]stepRes
@@ -51,6 +47,7 @@ type StepPlan struct {
 	// them instead of allocating a futures slice, a promise and a
 	// completion goroutine per submission.
 	issues sync.Pool
+	held   *stepIssue // the latest join, held until the next issue
 }
 
 // stepRes is one distinct resource a loop touches: its version chain and
@@ -100,7 +97,6 @@ func BuildStepPlan(name string, loops []*Loop) (*StepPlan, error) {
 		return c
 	}
 
-	hasSucc := make([]bool, len(loops))
 	for i, l := range loops {
 		// Distinct resources with the strongest access — the same
 		// classification the per-loop issue path uses.
@@ -113,7 +109,6 @@ func BuildStepPlan(name string, loops []*Loop) (*StepPlan, error) {
 			if j >= 0 && !seen[j] {
 				seen[j] = true
 				sp.deps[i] = append(sp.deps[i], j)
-				hasSucc[j] = true
 			}
 		}
 		for _, r := range resources {
@@ -133,11 +128,6 @@ func BuildStepPlan(name string, loops []*Loop) (*StepPlan, error) {
 			} else {
 				c.readers = append(c.readers, i)
 			}
-		}
-	}
-	for i := range loops {
-		if !hasSucc[i] {
-			sp.sinks = append(sp.sinks, i)
 		}
 	}
 	sp.groups = buildStepGroups(sp)
@@ -171,10 +161,6 @@ func (sp *StepPlan) FusedLoops() int {
 // earlier loops it must wait for).
 func (sp *StepPlan) Deps(i int) []int { return sp.deps[i] }
 
-// Sinks returns the indices of the loops no later loop of the step
-// depends on; their completion implies the whole step's.
-func (sp *StepPlan) Sinks() []int { return sp.sinks }
-
 // RunStepCtx executes every loop of the step. Under the Serial and
 // ForkJoin backends the loops run in program order, each with its
 // implicit barrier. Under Dataflow the step is issued asynchronously —
@@ -197,16 +183,16 @@ func (ex *Executor) RunStepCtx(ctx context.Context, sp *StepPlan) error {
 }
 
 // RunStepAsyncCtx issues every loop of the step asynchronously and
-// returns one future for the whole step: it resolves once every sink
-// loop of the DAG has completed, and carries the first error of any
-// member loop in program order — so an error anywhere in the step
-// surfaces on the step's own future, not only through the version
-// chains. The single-issuing-goroutine contract of RunAsyncCtx applies:
-// the step (and any surrounding loops) must be issued from one
-// goroutine. Like RunAsyncCtx, the returned Future is pooled — its
-// first Wait consumes it — and steady-state issue of a compiled step
-// performs no per-member future, goroutine or slice allocations (see
-// stepIssue in issue.go).
+// returns one future for the whole step: it resolves once every member
+// loop has resolved, and carries the first error of any member loop in
+// program order — so an error anywhere in the step surfaces on the
+// step's own future, not only through the version chains. The
+// single-issuing-goroutine contract of RunAsyncCtx applies: the step (and
+// any surrounding loops) must be issued from one goroutine. Like
+// RunAsyncCtx, the returned Future is pooled — it reads its own verdict
+// until the step's next-but-one issue — and steady-state issue of a
+// compiled step performs no per-member future, goroutine or slice
+// allocations (see stepIssue in issue.go).
 func (ex *Executor) RunStepAsyncCtx(ctx context.Context, sp *StepPlan) Future {
 	if ctx == nil {
 		ctx = context.Background()

@@ -148,13 +148,13 @@ func TestSteadyStateIndirectLoopAllocsBounded(t *testing.T) {
 }
 
 // TestSteadyStateAsyncLoopZeroAlloc is the asynchronous mirror of the
-// direct-loop guard: once the pooled issue states, dependency nodes and
-// Future wrappers are warm, an Async issue-and-wait of a direct Body
-// loop performs ZERO allocations per cycle — no promises, no
-// dependency-wait goroutine, no futures slice. Dependencies link onto
-// the predecessors' intrusive wait-lists and the whole issue state
-// recycles once the future is consumed and the version-chain entries
-// are displaced.
+// direct-loop guard: once the pooled issue states (each keeping the one
+// Future vended over it) and dependency nodes are warm, an Async
+// issue-and-wait of a direct Body loop performs ZERO allocations per
+// cycle — no promises, no dependency-wait goroutine, no futures slice.
+// Dependencies link onto the predecessors' intrusive wait-lists and the
+// whole issue state recycles once it has resolved, its version-chain
+// entries are displaced and the loop's next Async has released it.
 func TestSteadyStateAsyncLoopZeroAlloc(t *testing.T) {
 	noGC(t)
 	for _, backend := range []op2.Backend{op2.Serial, op2.Dataflow} {

@@ -65,7 +65,7 @@ type Loop struct {
 	once *sync.Once       // guards the lazily cached validation verdict
 	err  error            // validation error, reported at invocation
 	dh   *dist.StepHandle // pinned one-loop step plan (WithRanks runtimes)
-	iss  issuer           // pooled Future wrapper + outstanding sweep
+	iss  issuer           // issue-ahead cap (WithMaxInFlightSteps)
 }
 
 // ParLoop declares a parallel loop over set with the given arguments.
@@ -190,17 +190,17 @@ func (lp *Loop) Async(ctx context.Context) *Future {
 		f = lp.rt.ex.RunAsyncCtx(ctx, &lp.l)
 	}
 	lp.iss.record(f, lim)
-	return lp.iss.wrap(f, ack)
+	return wrap(f, ack)
 }
 
 // Future is the completion future of an asynchronously issued loop or
-// step. Futures over pooled issue states are themselves pooled, one
-// wrapper per underlying state: a Future is valid until its first Wait
-// returns — afterwards the runtime may recycle the issue state beneath
-// it for the same loop's or step's next Async, and a later Wait on the
-// same handle observes that newer issue. Waiting a future once, or
-// abandoning it, are both fine; abandoned issues are swept and recycled
-// on the loop's or step's next Async.
+// step. A Future reads its own verdict if waited before its loop's or
+// step's next-but-one Async; after that the runtime may have recycled it,
+// and the issue state beneath it, for that newer issue, which a later
+// Wait then observes. Only a successful issue is recycled, so a failed
+// Future keeps its error. A Future holds no reference on its issue
+// state: waited or abandoned, the state recycles once its issue has
+// resolved and later issues have displaced it.
 type Future struct {
 	f   core.Future
 	ack func(error) // distributed engine: mark the error as delivered
@@ -226,29 +226,13 @@ func (f *Future) Ready() bool { return f.f.Ready() }
 // Done exposes the completion channel for use in select statements.
 func (f *Future) Done() <-chan struct{} { return f.f.Done() }
 
-// releasable marks core's pooled issue handles (its methods are the
-// explicit consumption hooks; the sweep below consumes resolved handles
-// through their auto-releasing Wait).
-type releasable interface{ TryRelease() bool }
-
-// issuer vends Future wrappers for one loop or step and sweeps abandoned
-// pooled handles so pipelined issuers that drop intermediate futures
-// (issue every iteration, fence once) still recycle their issue states.
-// Touched only by the issuing goroutine, per the Async contract.
-//
-// Wrappers over pooled handles are cached one-per-handle: a pooled
-// handle always comes back with the same underlying identity, so its
-// wrapper's fields are written exactly once — a stale Wait racing the
-// loop's next Async reads immutable fields and simply observes the
-// newer cycle, with no rewritten state to tear.
+// issuer caps one loop's or step's issue-ahead when the runtime sets
+// WithMaxInFlightSteps. Touched only by the issuing goroutine, per the
+// Async contract.
 type issuer struct {
-	wrappers    map[core.Future]*Future
-	outstanding []core.Future // pooled handles not yet consumed
-
 	// ring holds the raw futures of the last k Async issues in issue
-	// order when the runtime caps issue-ahead (WithMaxInFlightSteps):
-	// reserve blocks on the oldest slot before the next issue, record
-	// overwrites it afterwards. Touched only by the issuing goroutine.
+	// order: reserve blocks on the oldest slot before the next issue,
+	// record overwrites it afterwards.
 	ring []core.Future
 	head int
 }
@@ -288,51 +272,29 @@ func (is *issuer) record(f core.Future, limit int) {
 	}
 }
 
-// wrap vends the Future for a fresh issue.
+// facaded is implemented by core's pooled handles, which keep the one
+// Future vended over them (see wrap).
+type facaded interface{ Facade() *any }
+
+// wrap vends the Future for a fresh issue. A pooled handle comes back
+// with every recycle of its issue state, so its Future is built on the
+// state's first issue and kept on the handle: its fields are written
+// exactly once, and a stale Wait racing a newer Async reads immutable
+// fields and simply observes the newer issue.
 //
 //op2:noalloc
-func (is *issuer) wrap(f core.Future, ack func(error)) *Future {
-	// Sweep: consume outstanding handles whose issues have resolved and
-	// were abandoned (a resolved handle's Wait is non-blocking and
-	// releases it). Successful ones recycle their pooled state; failed
-	// ones are dropped along with their wrapper cache entry so they
-	// cannot accumulate — their errors keep propagating through the
-	// version chains, which is where abandoned failures were always
-	// surfaced. Pending issues stay until resolved.
-	kept := is.outstanding[:0]
-	for _, o := range is.outstanding {
-		if !o.Ready() {
-			//op2:allow kept reuses outstanding's backing array (kept is a strict subset)
-			kept = append(kept, o)
-			continue
-		}
-		if o.Wait() != nil { // non-blocking: consumes and releases
-			//op2:coldpath failed abandoned issue: drop its wrapper so it cannot accumulate
-			delete(is.wrappers, o)
-		}
-	}
-	for i := len(kept); i < len(is.outstanding); i++ {
-		is.outstanding[i] = nil
-	}
-	is.outstanding = kept
+func wrap(f core.Future, ack func(error)) *Future {
+	h, ok := f.(facaded)
 	//op2:coldpath unpooled handles (distributed engine futures, error futures) get a fresh garbage-collected wrapper
-	if _, ok := f.(releasable); !ok {
-		// Unpooled handle (distributed engine futures, error futures):
-		// fresh wrapper, garbage-collected with it.
+	if !ok {
 		return &Future{f: f, ack: ack}
 	}
-	//op2:allow outstanding reuses its backing array; it grows only to the in-flight cap
-	is.outstanding = append(is.outstanding, f)
-	fut := is.wrappers[f]
-	//op2:coldpath first issue of a pooled state builds its cached wrapper; steady state hits the cache
-	if fut == nil {
-		if is.wrappers == nil {
-			is.wrappers = make(map[core.Future]*Future)
-		}
-		fut = &Future{f: f, ack: ack}
-		is.wrappers[f] = fut
+	slot := h.Facade()
+	//op2:coldpath first issue of a pooled state builds the wrapper it keeps
+	if *slot == nil {
+		*slot = &Future{f: f, ack: ack}
 	}
-	return fut
+	return (*slot).(*Future)
 }
 
 // WaitAll waits for every future (nils are skipped) and returns the first

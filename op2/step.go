@@ -55,7 +55,7 @@ type Step struct {
 	dh       *dist.StepHandle // pinned distributed plan (WithRanks runtimes)
 	raw      []*core.Loop
 	err      error
-	iss      issuer // pooled Future wrapper + outstanding sweep
+	iss      issuer // issue-ahead cap (WithMaxInFlightSteps)
 }
 
 // Step starts a new, empty step. Append loops with Then.
@@ -185,7 +185,7 @@ func (s *Step) Async(ctx context.Context) *Future {
 		f = s.rt.ex.RunStepAsyncCtx(ctx, s.plan)
 	}
 	s.iss.record(f, lim)
-	return s.iss.wrap(f, ack)
+	return wrap(f, ack)
 }
 
 // FusedGroups reports how many multi-loop fused groups the step's
