@@ -38,7 +38,7 @@ func run() error {
 		nx          = flag.Int("nx", 240, "mesh cells in x")
 		ny          = flag.Int("ny", 120, "mesh cells in y")
 		iters       = flag.Int("iters", 100, "time iterations")
-		chunkerStr  = flag.String("chunker", "", "chunk sizing: static:<n>, even, auto or persistent (default per backend)")
+		chunkerStr  = flag.String("chunker", "", "chunk sizing: static:<blocks>, even, auto or persistent (default per backend)")
 		prefetch    = flag.Int("prefetch", 0, "prefetch_distance_factor in cache lines (0 = off)")
 		paperMesh   = flag.Bool("paper-mesh", false, "use the paper's mesh scale (~720K nodes); overrides -nx/-ny")
 		profile     = flag.Bool("profile", false, "print per-loop timing statistics after the run")

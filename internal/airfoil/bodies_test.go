@@ -45,8 +45,7 @@ func shuffleRows(rng *rand.Rand, set *core.Set, blockSize int, maps []*core.Map,
 // app.go to the reference kernels of kernels.go bit for bit: the same
 // shuffled mesh runs on the specialized path and on the generic Kernel
 // path, and every dat the step writes plus the rms reduction must agree
-// exactly. A whole-set static chunk gives Dataflow one reduction grid,
-// so rms is comparable across runs too.
+// exactly.
 func TestSpecializedBodiesMatchKernels(t *testing.T) {
 	const nx, ny, iters, seed = 40, 20, 12, 7
 	consts := DefaultConstants()

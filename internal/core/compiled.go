@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"op2hpx/internal/hpx/sched"
@@ -16,21 +15,22 @@ import (
 // one executor, built on the loop's first execution and cached on the
 // Loop. It pins everything the per-invocation path used to recompute:
 //
-//   - the resolved *Plan (no planCache mutex + map lookup per call),
+//   - the resolved *Plan, whose blocks are the loop's one execution and
+//     reduction grid (no planCache mutex + map lookup per call),
 //   - the scratchLayout of the loop's global reductions,
 //   - the classified resource list for dataflow issue (classifyResources
 //     used to rebuild a slice + map on every issue),
 //   - the range body, bound once to the host arrays (the attached
 //     Body, or the generic view-building binder over Kernel),
 //   - the §V prefetcher configuration, and
-//   - a pool of loopRun states holding the slot-indexed reduction
+//   - a pool of loopRun states holding the block-indexed reduction
 //     scratch table and the persistent chunk task of the parallel
 //     region.
 //
 // A CompiledLoop is immutable after construction except for
-// colorChunks, the per-color block-chunk sizes a colored loop calibrates
-// on its first execution, which is swapped atomically. All other mutable
-// per-invocation state lives in pooled loopRun values, so concurrent
+// colorChunks, the per-color block-chunk sizes the loop calibrates on
+// its first parallel execution, which is swapped atomically. All other
+// mutable per-invocation state lives in pooled loopRun values, so concurrent
 // executions of the same loop (where a backend's contract allows them)
 // are safe. Kernels are read through the Loop at invocation time, so
 // re-attaching a Kernel between runs is observed without recompiling; a
@@ -38,7 +38,7 @@ import (
 type CompiledLoop struct {
 	ex   *Executor
 	l    *Loop
-	plan *Plan // nil for loops without indirect modifications
+	plan *Plan // colored against the indirect modifying maps; one color otherwise
 	sl   scratchLayout
 	res  []stepRes // distinct resources, strongest access (dataflow issue)
 	pf   *loopPrefetcher
@@ -53,14 +53,15 @@ type CompiledLoop struct {
 	// per execution once registered (see CompiledLoop.histFor).
 	hist atomic.Pointer[obs.Histogram]
 
-	// colorChunks holds a colored loop's calibrated chunk sizes (see
-	// Executor.runColored); nil until its first parallel execution.
+	// colorChunks holds the loop's calibrated chunk sizes (see
+	// blockWalk.walk); nil until its first parallel execution.
 	colorChunks atomic.Pointer[colorChunkSizes]
 }
 
-// colorChunkSizes is a colored loop's block-chunk size per color,
-// valid for the pool size it was calibrated at.
+// colorChunkSizes is a plan's block-chunk size per color, valid for the
+// executor and pool size it was calibrated at.
 type colorChunkSizes struct {
+	ex      *Executor
 	workers int
 	sizes   []int
 }
@@ -92,13 +93,11 @@ func (ex *Executor) compileLoop(l *Loop) (*CompiledLoop, error) {
 		res: classifyResources(l.Args),
 		pf:  ex.newLoopPrefetcher(l),
 	}
-	if conflicts := conflictMaps(l.Args); len(conflicts) > 0 {
-		plan, err := ex.plans.get(l.Set, ex.cfg.BlockSize, conflicts)
-		if err != nil {
-			return nil, err
-		}
-		cl.plan = plan
+	plan, err := ex.plans.get(l.Set, ex.cfg.BlockSize, conflictMaps(l.Args))
+	if err != nil {
+		return nil, err
 	}
+	cl.plan = plan
 	cl.body = l.Binder()(hostBind{})
 	cl.runs.New = func() any { return newLoopRun(cl) }
 	return cl, nil
@@ -114,37 +113,31 @@ func (hostBind) Map(m *Map) []int32   { return m.data }
 // getRun borrows a pooled per-invocation run state.
 func (cl *CompiledLoop) getRun(ctx context.Context) *loopRun {
 	lr := cl.runs.Get().(*loopRun)
-	lr.ctx = ctx
 	lr.region.ctx = ctx
-	lr.nslots = 0
-	lr.cursor = 0
 	return lr
 }
 
 // putRun returns a run state to the pool.
 func (cl *CompiledLoop) putRun(lr *loopRun) {
-	lr.ctx = nil
 	lr.region.ctx = nil
-	lr.blocks = nil
 	cl.runs.Put(lr)
 }
 
 // chunkRegion executes chunk claims on the scheduler pool through one
 // persistent, reusable task closure — the zero-allocation replacement
 // of hpx.ForEachChunk for compiled loops. A region is configured with a
-// chunk grid (start/size/end over elements or block indices) and an
-// exec callback bound once at construction; dispatch then submits the
-// claim task once per chunk and joins. Each run of the task claims the
-// next unclaimed chunk ordinal, so a grid of any size costs no
-// allocation, and chunk c still covers the same range and reduction
-// slot whichever worker claims it.
+// chunk grid (start/size/end over one color's block list) and an exec
+// callback bound once at construction; dispatch then submits the claim
+// task once per chunk and joins. Each run of the task claims the next
+// unclaimed chunk ordinal, so a grid of any size costs no allocation.
+// Which worker runs a chunk never matters to the results: reduction
+// slots are plan blocks, not chunks.
 type chunkRegion struct {
 	ctx      context.Context
-	start    int // first element (direct) or block index (colored)
-	size     int // chunk size in elements (direct) or blocks (colored)
-	end      int // one past the last element / block index
-	slotBase int // reduction slot of chunk 0 (direct grids)
-	exec     func(c, lo, hi int)
+	start    int // first block index of the grid
+	size     int // chunk size in blocks
+	end      int // one past the last block index
+	exec     func(lo, hi int)
 	wg       sync.WaitGroup
 	panicMu  sync.Mutex
 	panicked any
@@ -172,7 +165,7 @@ func (r *chunkRegion) runChunk(c int) {
 	if hi > r.end {
 		hi = r.end
 	}
-	r.exec(c, lo, hi)
+	r.exec(lo, hi)
 }
 
 // dispatch submits nchunks chunk claims onto the pool through the
@@ -201,74 +194,34 @@ func (r *chunkRegion) dispatch(pool *sched.Pool, nchunks int) error {
 }
 
 // loopRun is the mutable per-invocation state of a compiled loop: the
-// slot-indexed reduction scratch table and the parallel region that
-// executes chunks on the scheduler pool through one persistent, reusable
-// task closure. Everything here is reused across invocations via the
-// CompiledLoop's pool, which is what makes the steady-state issue path
-// allocation-free.
+// block-indexed reduction scratch table and the block walker that runs
+// the plan, on the calling goroutine or on the scheduler pool through
+// one persistent, reusable task closure. Everything here is reused
+// across invocations via the CompiledLoop's pool, which is what makes
+// the steady-state issue path allocation-free.
 type loopRun struct {
-	cl  *CompiledLoop
-	ctx context.Context
+	cl *CompiledLoop
 
 	// Reduction scratch table: slot s occupies red[s*stride:s*stride+size]
-	// (see scratchLayout). The table starts on a cache line and the
-	// stride is whole lines, so chunks running on different workers
-	// never write the same line. Slots are indexed by chunk (plan block
-	// id for planned loops, chunk ordinal for direct loops); each range
-	// writes its own slot with no locking, and finish folds slots in
-	// ascending order — the same ascending-range combine the executor
-	// used to reconstruct with a mutex-guarded list and a sort per
-	// invocation.
-	red    []float64
-	acc    []float64
-	nslots int
+	// (see scratchLayout), one slot per plan block. The table starts on a
+	// cache line and the stride is whole lines, so blocks running on
+	// different workers never write the same line. Each block writes its
+	// own slot with no locking, and finish folds slots in ascending block
+	// id — one fold order whatever the backend, chunker or pool size.
+	red []float64
+	acc []float64
 
-	region chunkRegion
-	blocks []int // current color's block ids; nil selects direct mode
-
-	// Calibration state: measure consumes the range prefix on the
-	// calling goroutine, like hpx auto_chunk_size.
-	cursor  int
-	measure func(k int) time.Duration
+	blockWalk
 }
 
 func newLoopRun(cl *CompiledLoop) *loopRun {
 	lr := &loopRun{cl: cl}
-	lr.measure = func(k int) time.Duration {
-		if lr.blocks == nil {
-			return lr.measureDirect(k)
-		}
-		return lr.measureBlocks(k)
+	if stride := cl.sl.stride; stride > 0 {
+		lr.red = alignedFloats(cl.plan.NBlocks() * stride)
 	}
-	lr.region.exec = func(c, lo, hi int) {
-		if lr.blocks == nil {
-			lr.runRange(lr.region.slotBase+c, lo, hi)
-			return
-		}
-		plan := lr.cl.plan
-		for i := lo; i < hi; i++ {
-			b := lr.blocks[i]
-			blo, bhi := plan.Block(b)
-			lr.runRange(b, blo, bhi)
-		}
-	}
+	lr.plan, lr.merge = cl.plan, cl.sl.size == 0
+	lr.bind(lr.runRange)
 	return lr
-}
-
-// ensureSlots guarantees capacity for n reduction slots, preserving
-// already-written slots (calibration writes slots before the parallel
-// phase sizes the rest). No-op for loops without reductions.
-func (lr *loopRun) ensureSlots(n int) {
-	stride := lr.cl.sl.stride
-	if stride == 0 {
-		return
-	}
-	if want := n * stride; cap(lr.red) < want {
-		grown := alignedFloats(want)
-		copy(grown, lr.red)
-		lr.red = grown
-	}
-	lr.red = lr.red[:n*stride]
 }
 
 // cacheLineFloats is the number of float64s in one 64-byte cache line.
@@ -312,10 +265,9 @@ func (lr *loopRun) runRange(slot, lo, hi int) {
 	}
 }
 
-// finish folds the reduction slots in ascending slot order — ascending
-// range order by construction — and applies the result to the global
-// variables. Must only run after every slot of a successful execution
-// was written.
+// finish folds the reduction slots in ascending block id and applies
+// the result to the global variables. Must only run after every block
+// of a successful execution ran.
 func (lr *loopRun) finish() {
 	sl := &lr.cl.sl
 	if sl.size == 0 {
@@ -327,47 +279,8 @@ func (lr *loopRun) finish() {
 	acc := lr.acc[:sl.size]
 	copy(acc, sl.initv)
 	args := lr.cl.l.Args
-	for s := 0; s < lr.nslots; s++ {
+	for s := 0; s < lr.cl.plan.NBlocks(); s++ {
 		sl.combine(acc, lr.slot(s), args)
 	}
 	sl.apply(acc, args)
-}
-
-// measureDirect executes k iterations for real at the cursor, assigning
-// the next sequential slot — the calibration half of runDirect.
-func (lr *loopRun) measureDirect(k int) time.Duration {
-	n := lr.cl.l.Set.size
-	if lr.cursor+k > n {
-		k = n - lr.cursor
-	}
-	if k <= 0 {
-		return time.Nanosecond
-	}
-	lr.ensureSlots(lr.nslots + 1)
-	start := time.Now()
-	lr.runRange(lr.nslots, lr.cursor, lr.cursor+k)
-	lr.cursor += k
-	lr.nslots++
-	return time.Since(start)
-}
-
-// measureBlocks executes k whole blocks of lr.blocks for real at the
-// cursor; slots are the global block ids (ascending within a color).
-func (lr *loopRun) measureBlocks(k int) time.Duration {
-	nb := len(lr.blocks)
-	if lr.cursor+k > nb {
-		k = nb - lr.cursor
-	}
-	if k <= 0 {
-		return time.Nanosecond
-	}
-	plan := lr.cl.plan
-	start := time.Now()
-	for i := lr.cursor; i < lr.cursor+k; i++ {
-		b := lr.blocks[i]
-		lo, hi := plan.Block(b)
-		lr.runRange(b, lo, hi)
-	}
-	lr.cursor += k
-	return time.Since(start)
 }

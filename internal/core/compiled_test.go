@@ -254,3 +254,111 @@ func TestColoredLoopRecalibratesOnPoolResize(t *testing.T) {
 		t.Fatalf("after resizing the pool: %d chunker calls, want %d", got, 2*colors)
 	}
 }
+
+// TestDirectLoopRunsBlockGrid checks the ranges a direct loop's body is
+// handed: a loop without reductions runs adjacent blocks as one range,
+// and a reducing loop runs one range per plan block — its reduction
+// grid — on every backend and chunker.
+func TestDirectLoopRunsBlockGrid(t *testing.T) {
+	const n, blockSize = 1000, 100
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		chunker hpx.Chunker
+	}{
+		{"serial", Serial, nil},
+		{"forkjoin-static3", ForkJoin, hpx.StaticChunker(3)},
+		{"dataflow-auto", Dataflow, hpx.AutoChunker()},
+	} {
+		for _, reduce := range []bool{false, true} {
+			cells := MustDeclSet(n, "cells")
+			d := MustDeclDat(cells, 1, nil, "d")
+			g := MustDeclGlobal(1, nil, "g")
+			args := []Arg{ArgDat(d, IDIdx, nil, Write)}
+			if reduce {
+				args = append(args, ArgGbl(g, Inc))
+			}
+			var (
+				mu     sync.Mutex
+				ranges [][2]int
+			)
+			l := &Loop{Name: "w", Set: cells, Args: args,
+				Body: rangeOnly(func(lo, hi int, s []float64) {
+					mu.Lock()
+					ranges = append(ranges, [2]int{lo, hi})
+					mu.Unlock()
+					for i := lo; i < hi; i++ {
+						d.data[i] = 1
+						if s != nil {
+							s[0]++
+						}
+					}
+				})}
+			pool := sched.NewPool(2)
+			ex := NewExecutor(Config{Backend: tc.backend, Pool: pool, Chunker: tc.chunker, BlockSize: blockSize})
+			for r := 0; r < 2; r++ {
+				ranges = ranges[:0]
+				if err := ex.Run(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pool.Close()
+			sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
+			for i, r := range ranges {
+				if reduce && (r[0] != i*blockSize || r[1] != r[0]+blockSize) {
+					t.Fatalf("%s reducing: range %d = %v, want block %d", tc.name, i, r, i)
+				}
+			}
+			if reduce && len(ranges) != n/blockSize {
+				t.Fatalf("%s reducing: %d ranges, want one per block (%d)", tc.name, len(ranges), n/blockSize)
+			}
+			if !reduce && tc.backend == Serial && (len(ranges) != 1 || ranges[0] != [2]int{0, n}) {
+				t.Fatalf("serial without reductions: ranges %v, want one range over the set", ranges)
+			}
+			if reduce && g.Data()[0] != 2*n {
+				t.Fatalf("%s: g = %g, want %d", tc.name, g.Data()[0], 2*n)
+			}
+		}
+	}
+}
+
+// TestDirectLoopAndFusedPassCalibrateOnce checks that a direct loop and
+// a fused pass, like a colored loop, consult their chunker once (their
+// plans have one color) on the first execution at a pool size.
+func TestDirectLoopAndFusedPassCalibrateOnce(t *testing.T) {
+	const n, runs = 4000, 3
+	pool := sched.NewPool(2)
+	t.Cleanup(pool.Close)
+	ck := &countingChunker{Chunker: hpx.AutoChunker()}
+	ex := NewExecutor(Config{Backend: Dataflow, Pool: pool, Chunker: ck, BlockSize: 100})
+	direct, _, _ := saxpyLoop(n)
+	for r := 0; r < runs; r++ {
+		if err := ex.Run(direct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ck.calls.Load(); got != 1 {
+		t.Fatalf("direct loop: chunker consulted %d times over %d executions, want 1", got, runs)
+	}
+	cells := MustDeclSet(n, "cells")
+	a := MustDeclDat(cells, 1, nil, "a")
+	b := MustDeclDat(cells, 1, nil, "b")
+	sp, err := BuildStepPlan("pair", []*Loop{
+		{Name: "wa", Set: cells, Args: []Arg{ArgDat(a, IDIdx, nil, Write)}, Kernel: func(v [][]float64) { v[0][0] = 1 }},
+		{Name: "wb", Set: cells, Args: []Arg{ArgDat(b, IDIdx, nil, Write)}, Kernel: func(v [][]float64) { v[0][0] = 2 }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.FusedGroups() != 1 {
+		t.Fatal("the two writes did not fuse")
+	}
+	for r := 0; r < runs; r++ {
+		if err := ex.RunStepCtx(context.Background(), sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ck.calls.Load(); got != 2 {
+		t.Fatalf("chunker consulted %d times in all, want 2 (once for the loop, once for the pass)", got)
+	}
+}

@@ -54,16 +54,17 @@ type Config struct {
 	Backend Backend
 	// Pool hosts the loop chunks; nil uses the process-wide pool.
 	Pool *sched.Pool
-	// Chunker controls chunk sizes (§IV-B). Nil defaults per backend:
-	// ForkJoin uses even static division (the OpenMP baseline), Dataflow
-	// uses auto chunk sizing. Pass a *hpx.PersistentAutoChunker shared
-	// across loops to reproduce persistent_auto_chunk_size. ForkJoin and
-	// Dataflow consult it alike — a calibrating chunker times a probe
-	// under either — on every execution of a direct loop or fused pass,
-	// but only once per color for a colored loop: on its first execution
-	// at a given pool size (see Executor.runColored).
+	// Chunker controls chunk sizes (§IV-B) in whole plan blocks. Nil
+	// defaults per backend: ForkJoin uses even static division (the
+	// OpenMP baseline), Dataflow uses auto chunk sizing. Pass a
+	// *hpx.PersistentAutoChunker shared across loops to reproduce
+	// persistent_auto_chunk_size. ForkJoin and Dataflow consult it alike
+	// — a calibrating chunker times a probe of whole blocks under either
+	// — once per color of a loop or fused pass, on its first execution
+	// at a given pool size (see blockWalk.walk). Chunks never change
+	// results: reductions fold per plan block.
 	Chunker hpx.Chunker
-	// BlockSize is the plan block size for indirect loops.
+	// BlockSize is the plan block size of every loop.
 	BlockSize int
 	// PrefetchDistance enables the §V prefetcher when >= 1: while a
 	// prefetch unit of a chunk executes, the next unit's cache lines of
@@ -332,8 +333,7 @@ func (ex *Executor) executeCtx(ctx context.Context, l *Loop) error {
 // executeCompiled runs a compiled loop to completion. Panics from the
 // kernel — whether on the calling goroutine (serial execution, chunk
 // calibration) or inside pool tasks — surface as errors. A done ctx
-// aborts between colors and chunks (the serial backend only checks on
-// entry: its single range call is indivisible). All per-invocation state
+// aborts between colors and chunks. All per-invocation state
 // is pooled on the compiled loop, so steady-state execution performs no
 // allocations.
 func (ex *Executor) executeCompiled(ctx context.Context, cl *CompiledLoop) (err error) {
@@ -373,15 +373,7 @@ func (ex *Executor) executeCompiled(ctx context.Context, cl *CompiledLoop) (err 
 		lr.finish()
 		return nil
 	}
-	var runErr error
-	switch {
-	case ex.cfg.Backend == Serial:
-		runErr = ex.runSerial(ctx, lr)
-	case cl.plan == nil:
-		runErr = ex.runDirect(lr)
-	default:
-		runErr = ex.runColored(ctx, lr)
-	}
+	runErr := lr.walk(ctx, ex, &cl.colorChunks)
 	if runErr != nil {
 		return fmt.Errorf("op2: loop %q: %w", l.Name, runErr)
 	}
@@ -389,120 +381,110 @@ func (ex *Executor) executeCompiled(ctx context.Context, cl *CompiledLoop) (err 
 	return nil
 }
 
-// runSerial executes the loop on the calling goroutine. Indirect
-// modifying loops follow the colored plan — ascending colors, ascending
-// blocks within a color — i.e. exactly the element order the parallel
-// backends use, so serial and parallel runs of a plan-ordered loop agree
-// bitwise. Direct loops run as one contiguous range.
-func (ex *Executor) runSerial(ctx context.Context, lr *loopRun) error {
-	plan := lr.cl.plan
-	if plan == nil {
-		lr.ensureSlots(1)
-		lr.nslots = 1
-		lr.runRange(0, 0, lr.cl.l.Set.size)
-		return nil
+// blockWalk executes a plan color by color and block by block — the
+// one execution path of every compiled loop and fused pass, on every
+// backend. Blocks within a color are mutually conflict-free and run in
+// parallel; a barrier separates colors, exactly like OP2's OpenMP plan
+// execution in Fig. 4. Each block runs into the reduction slot of its
+// block id, so a loop's reductions fold the same way whichever backend,
+// chunker or pool size ran it.
+type blockWalk struct {
+	plan *Plan
+	// exec runs the elements [lo, hi) into reduction slot `slot`.
+	exec func(slot, lo, hi int)
+	// merge runs adjacent blocks as one range: set when nothing writes
+	// a reduction slot, so loops without reductions pay no per-block
+	// call.
+	merge  bool
+	region chunkRegion
+
+	// blocks are the current color's block ids; cursor counts those
+	// already run by calibration, which executes whole blocks for real
+	// on the calling goroutine, like hpx auto_chunk_size.
+	blocks  []int
+	cursor  int
+	measure func(k int) time.Duration
+}
+
+// bind creates the walker's callbacks once, so steady-state walks
+// allocate nothing.
+func (w *blockWalk) bind(exec func(slot, lo, hi int)) {
+	w.exec = exec
+	w.region.exec = w.runBlocks
+	w.measure = func(k int) time.Duration {
+		k = min(k, len(w.blocks)-w.cursor)
+		if k <= 0 {
+			return time.Nanosecond
+		}
+		start := time.Now()
+		w.runBlocks(w.cursor, w.cursor+k)
+		w.cursor += k
+		return time.Since(start)
 	}
-	lr.ensureSlots(plan.NBlocks())
-	lr.nslots = plan.NBlocks()
+}
+
+// runBlocks executes blocks[i:j] of the current color in order.
+func (w *blockWalk) runBlocks(i, j int) {
+	for i < j {
+		b := w.blocks[i]
+		lo, hi := w.plan.Block(b)
+		for i++; w.merge && i < j && w.blocks[i] == w.blocks[i-1]+1; i++ {
+			_, hi = w.plan.Block(w.blocks[i])
+		}
+		w.exec(b, lo, hi)
+	}
+}
+
+// walk executes every color of the plan in ascending order. Serial runs
+// each color inline. The parallel backends spread a color's blocks over
+// the pool in chunks of whole blocks; the chunker is consulted once per
+// color on the first walk at a given pool size — a calibrating chunker
+// probes whole blocks, executed for real — and the sizes are kept in
+// cal, so later walks dispatch each color with no probe.
+func (w *blockWalk) walk(ctx context.Context, ex *Executor, cal *atomic.Pointer[colorChunkSizes]) error {
+	plan := w.plan
+	var pool *sched.Pool
+	var sizes, fresh []int
+	workers := 0
+	if ex.cfg.Backend != Serial {
+		pool = ex.pool()
+		workers = pool.Size()
+		if c := cal.Load(); c != nil && c.ex == ex && c.workers == workers {
+			sizes = c.sizes
+		} else {
+			fresh = make([]int, plan.NColors())
+		}
+	}
 	for c := 0; c < plan.NColors(); c++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr // abort the nest between colors
 		}
-		for _, b := range plan.BlocksOfColor(c) {
-			lo, hi := plan.Block(b)
-			lr.runRange(b, lo, hi)
+		w.blocks = plan.BlocksOfColor(c)
+		w.cursor = 0
+		nb := len(w.blocks)
+		size := nb
+		switch {
+		case sizes != nil:
+			size = sizes[c]
+		case fresh != nil:
+			size = max(ex.cfg.Chunker.ChunkSize(nb, workers, w.measure), 1)
+			fresh[c] = size
 		}
-	}
-	return nil
-}
-
-// runDirect executes a loop with no indirect modifications: calibrate the
-// chunk size by executing the first iterations for real (the way HPX's
-// auto_chunk_size folds its measurement into the run), then spread static
-// chunks of the remainder across the pool through the compiled region —
-// one persistent task closure, no per-invocation policy or future objects.
-func (ex *Executor) runDirect(lr *loopRun) error {
-	pool := ex.pool()
-	workers := pool.Size()
-	n := lr.cl.l.Set.size
-	lr.blocks = nil // measure() dispatches on this: direct mode
-	size := ex.cfg.Chunker.ChunkSize(n, workers, lr.measure)
-	if size < 1 {
-		size = 1
-	}
-	cursor := lr.cursor
-	if cursor >= n {
-		return nil
-	}
-	if size >= n-cursor {
-		lr.ensureSlots(lr.nslots + 1)
-		lr.runRange(lr.nslots, cursor, n)
-		lr.nslots++
-		return nil
-	}
-	nchunks := (n - cursor + size - 1) / size
-	lr.region.start, lr.region.size, lr.region.end, lr.region.slotBase = cursor, size, n, lr.nslots
-	lr.ensureSlots(lr.nslots + nchunks)
-	lr.nslots += nchunks
-	return lr.region.dispatch(pool, nchunks)
-}
-
-// runColored executes an indirect loop color by color from its pinned
-// plan: blocks within a color are mutually conflict-free and run in
-// parallel; a barrier separates colors, exactly like OP2's OpenMP plan
-// execution in Fig. 4. Reduction scratches are slotted by block id, so
-// the ascending-slot fold reproduces the ascending-range combine.
-//
-// The chunker is consulted once per color on the loop's first execution
-// at a given pool size — a calibrating chunker probes whole blocks,
-// executed for real — and the block-chunk sizes are kept on the compiled
-// loop. Later executions dispatch each whole color with no probe; a
-// different pool size recalibrates.
-func (ex *Executor) runColored(ctx context.Context, lr *loopRun) error {
-	plan := lr.cl.plan
-	pool := ex.pool()
-	workers := pool.Size()
-	lr.ensureSlots(plan.NBlocks())
-	lr.nslots = plan.NBlocks()
-	cal := lr.cl.colorChunks.Load()
-	if cal != nil && cal.workers != workers {
-		cal = nil
-	}
-	var sizes []int
-	if cal == nil {
-		sizes = make([]int, plan.NColors())
-	}
-	for c := 0; c < plan.NColors(); c++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr // abort the nest mid-color sequence
-		}
-		blocks := plan.BlocksOfColor(c)
-		nb := len(blocks)
-		lr.blocks = blocks
-		lr.cursor = 0
-		var size int
-		if cal != nil {
-			size = cal.sizes[c]
-		} else {
-			size = max(ex.cfg.Chunker.ChunkSize(nb, workers, lr.measure), 1)
-			sizes[c] = size
-		}
-		if lr.cursor >= nb {
+		rest := nb - w.cursor
+		if rest <= 0 {
 			continue
 		}
-		if size >= nb-lr.cursor {
-			lr.measureBlocks(nb - lr.cursor) // run the remainder inline
+		if size >= rest {
+			w.runBlocks(w.cursor, nb) // one chunk: run it inline
 			continue
 		}
-		nchunks := (nb - lr.cursor + size - 1) / size
-		lr.region.start, lr.region.size, lr.region.end = lr.cursor, size, nb
-		if err := lr.region.dispatch(pool, nchunks); err != nil {
+		w.region.start, w.region.size, w.region.end = w.cursor, size, nb
+		if err := w.region.dispatch(pool, (rest+size-1)/size); err != nil {
 			return err
 		}
 	}
-	lr.blocks = nil
-	if cal == nil {
-		lr.cl.colorChunks.Store(&colorChunkSizes{workers: workers, sizes: sizes})
+	if fresh != nil {
+		cal.Store(&colorChunkSizes{ex: ex, workers: workers, sizes: fresh})
 	}
 	return nil
 }

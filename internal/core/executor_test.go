@@ -501,8 +501,9 @@ func waitExecuted(t *testing.T, pool *sched.Pool, want uint64) {
 }
 
 // TestForkJoinRunsChunksOnPool checks that ForkJoin loops run their
-// chunks as tasks of the executor's pool: a direct loop and a colored
-// loop each raise the pool's executed count by their chunk count.
+// chunks of whole plan blocks as tasks of the executor's pool: a direct
+// loop (one color) and a colored loop each raise the pool's executed
+// count by their chunk count over the blocks of every color.
 func TestForkJoinRunsChunksOnPool(t *testing.T) {
 	const workers = 4
 	pool := sched.NewPool(workers)
@@ -510,32 +511,27 @@ func TestForkJoinRunsChunksOnPool(t *testing.T) {
 	ex := NewExecutor(Config{Backend: ForkJoin, Pool: pool, BlockSize: 100})
 	even := hpx.EvenChunker(1)
 
-	const n = 10000
-	direct, _, _ := saxpyLoop(n)
-	if err := ex.Run(direct); err != nil {
-		t.Fatal(err)
-	}
-	size := even.ChunkSize(n, workers, nil)
-	want := uint64((n + size - 1) / size)
-	waitExecuted(t, pool, want)
-
+	direct, _, _ := saxpyLoop(10000)
 	colored, _ := ringLoop(2000)
-	if err := ex.Run(colored); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := ex.compiled(colored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < cl.plan.NColors(); c++ {
-		nb := len(cl.plan.BlocksOfColor(c))
-		size := even.ChunkSize(nb, workers, nil)
-		if size >= nb {
-			t.Fatalf("color %d has %d blocks: one chunk, which runs on the caller", c, nb)
+	var want uint64
+	for _, l := range []*Loop{direct, colored} {
+		if err := ex.Run(l); err != nil {
+			t.Fatal(err)
 		}
-		want += uint64((nb + size - 1) / size)
+		cl, err := ex.compiled(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < cl.plan.NColors(); c++ {
+			nb := len(cl.plan.BlocksOfColor(c))
+			size := even.ChunkSize(nb, workers, nil)
+			if size >= nb {
+				t.Fatalf("%s: color %d has %d blocks: one chunk, which runs on the caller", l.Name, c, nb)
+			}
+			want += uint64((nb + size - 1) / size)
+		}
+		waitExecuted(t, pool, want)
 	}
-	waitExecuted(t, pool, want)
 }
 
 // TestForkJoinChunkPanic checks that a kernel panic inside a ForkJoin

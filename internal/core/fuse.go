@@ -20,17 +20,17 @@ const maxFuse = 64
 // over the same iteration set whose mutual dependencies are provably
 // element-wise. A single-loop group issues as its loop's one-member unit;
 // a multi-loop group issues as one k-member unit pooled on the group
-// (see issue.go) and executes as ONE pass over the iteration range —
-// each chunk visit runs every member body back to back — cutting one
-// full memory sweep and one issue (dependency gather, chunk
-// calibration, goroutine) per fused member.
+// (see issue.go) and executes as ONE walk of the set's one-color plan —
+// each block runs every member body back to back — cutting one full
+// memory sweep and one issue (dependency gather, goroutine) per fused
+// member.
 //
 // Fusion preserves results bitwise. Element e of a later member depends
 // only on element e of earlier members (that is what the join rules
-// prove), so running members per chunk instead of per loop reorders
-// only independent work; and every member keeps its own slot-indexed
-// reduction table over the shared chunk grid, so its ascending-slot
-// combine matches what it would produce unfused under the same chunker.
+// prove), so running members per block instead of per loop reorders
+// only independent work; and every member keeps its own block-indexed
+// reduction table over the plan's blocks, the grid it would use
+// unfused, so its fold is unchanged.
 // Failure semantics are preserved too: every member keeps its own
 // future, a member that panics is skipped for the rest of the pass,
 // members that hard-depend on it fail with a dependency error, and
@@ -58,6 +58,10 @@ type stepGroup struct {
 	// hist caches the group's op2_fused_group_seconds handle — one
 	// atomic load per pass once registered (see stepGroup.histFor).
 	hist atomic.Pointer[obs.Histogram]
+
+	// colorChunks holds the pass's calibrated chunk sizes (see
+	// blockWalk.walk); nil until its first parallel execution.
+	colorChunks atomic.Pointer[colorChunkSizes]
 }
 
 func (g *stepGroup) fused() bool { return g.hi-g.lo > 1 }
@@ -207,45 +211,17 @@ func buildHardDeps(sp *StepPlan, lo, hi int) []uint64 {
 
 // fusedRun is the pooled per-invocation state of a fused group: the
 // borrowed member loopRuns (each carrying its own body, prefetcher and
-// reduction table), the shared chunk region that drives them, and the
-// per-member failure state.
+// reduction table), the block walker that drives them over the set's
+// one-color plan, and the per-member failure state.
 type fusedRun struct {
 	g       *stepGroup
 	members []*loopRun
-	ctx     context.Context
-	region  chunkRegion
-	n       int // iteration-set size
-	cursor  int
-	nslots  int
-	measure func(k int) time.Duration
 
 	failed atomic.Uint64 // bit j: member j has failed
 	errsMu sync.Mutex
 	errs   []error // first error per member
-}
 
-func newFusedRun(g *stepGroup) *fusedRun {
-	fr := &fusedRun{g: g, errs: make([]error, g.hi-g.lo)}
-	fr.region.exec = func(c, lo, hi int) {
-		fr.runMembers(fr.region.slotBase+c, lo, hi)
-	}
-	fr.measure = func(k int) time.Duration {
-		if fr.cursor+k > fr.n {
-			k = fr.n - fr.cursor
-		}
-		if k <= 0 {
-			return time.Nanosecond
-		}
-		start := time.Now()
-		for _, lr := range fr.members {
-			lr.ensureSlots(fr.nslots + 1)
-		}
-		fr.runMembers(fr.nslots, fr.cursor, fr.cursor+k)
-		fr.cursor += k
-		fr.nslots++
-		return time.Since(start)
-	}
-	return fr
+	blockWalk
 }
 
 // markFailed records member j's first error and flags it failed.
@@ -278,11 +254,11 @@ func (g *stepGroup) nameOf(fr *fusedRun, j int) string {
 }
 
 // runMembers executes every live member's body over [lo, hi) with the
-// given reduction slot. A member that panics is marked failed and
-// skipped for the rest of the pass; members hard-depending on a failed
-// member fail with a dependency error; independent and overwriting
-// members keep running — mirroring per-loop issue, where only hard
-// dependencies propagate failure.
+// given reduction slot (the plan block the range starts). A member that
+// panics is marked failed and skipped for the rest of the pass; members
+// hard-depending on a failed member fail with a dependency error;
+// independent and overwriting members keep running — mirroring
+// per-loop issue, where only hard dependencies propagate failure.
 func (fr *fusedRun) runMembers(slot, lo, hi int) {
 	for j, lr := range fr.members {
 		mask := fr.failed.Load()
@@ -306,14 +282,13 @@ func (fr *fusedRun) runMembers(slot, lo, hi int) {
 }
 
 // finish folds every successful member's reductions over the shared
-// slot grid, in member (program) order.
+// block grid, in member (program) order.
 func (fr *fusedRun) finish() {
 	mask := fr.failed.Load()
 	for j, lr := range fr.members {
 		if mask&(1<<uint(j)) != 0 {
 			continue
 		}
-		lr.nslots = fr.nslots
 		lr.finish()
 	}
 }
@@ -328,18 +303,22 @@ func (g *stepGroup) getRun(ex *Executor, sp *StepPlan, ctx context.Context) (*fu
 	}
 	fr, _ := g.runs.Get().(*fusedRun)
 	if fr == nil {
-		fr = newFusedRun(g)
+		fr = &fusedRun{g: g, errs: make([]error, g.hi-g.lo)}
+		fr.bind(fr.runMembers)
 	}
-	fr.ctx = ctx
 	fr.region.ctx = ctx
-	fr.cursor, fr.nslots = 0, 0
 	fr.failed.Store(0)
 	clear(fr.errs)
 	fr.members = fr.members[:0]
+	merge := true
 	for o := g.lo; o < g.hi; o++ {
 		cl, _ := ex.compiled(sp.Loops[o]) // cached above
 		fr.members = append(fr.members, cl.getRun(ctx))
+		merge = merge && cl.sl.size == 0
 	}
+	// Members share their set's one-color plan: the plan cache keys it
+	// by set and block size alone.
+	fr.plan, fr.merge = fr.members[0].cl.plan, merge
 	return fr, nil
 }
 
@@ -350,15 +329,13 @@ func (g *stepGroup) putRun(fr *fusedRun) {
 		lr.cl.putRun(lr)
 	}
 	fr.members = fr.members[:0]
-	fr.ctx = nil
 	fr.region.ctx = nil
 	g.runs.Put(fr)
 }
 
-// executeFusedCtx runs a multi-loop group as one pass over the
-// iteration range — one chunk-size calibration for the whole pass, each
-// chunk executing every member body back to back — and writes one
-// verdict per member into errs (nil for members that completed).
+// executeFusedCtx runs a multi-loop group as one walk of its set's plan
+// — each block executing every member body back to back — and writes
+// one verdict per member into errs (nil for members that completed).
 func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGroup, errs []error) {
 	k := g.hi - g.lo
 	clear(errs)
@@ -380,42 +357,16 @@ func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGr
 	defer g.putRun(fr)
 	ex.fusedGroupsRun.Add(1)
 	ex.fusedLoopsRun.Add(int64(k))
-	n := set.size
 	var regionErr error
-	if n > 0 {
-		pool := ex.pool()
-		workers := pool.Size()
-		fr.n = n
-		size := ex.cfg.Chunker.ChunkSize(n, workers, fr.measure)
-		if size < 1 {
-			size = 1
-		}
-		cursor := fr.cursor
-		switch {
-		case cursor >= n:
-			// Calibration consumed the whole range.
-		case size >= n-cursor:
-			for _, lr := range fr.members {
-				lr.ensureSlots(fr.nslots + 1)
-			}
-			fr.runMembers(fr.nslots, cursor, n)
-			fr.nslots++
-		default:
-			nchunks := (n - cursor + size - 1) / size
-			fr.region.start, fr.region.size, fr.region.end, fr.region.slotBase = cursor, size, n, fr.nslots
-			for _, lr := range fr.members {
-				lr.ensureSlots(fr.nslots + nchunks)
-			}
-			fr.nslots += nchunks
-			regionErr = fr.region.dispatch(pool, nchunks)
-		}
+	if set.size > 0 {
+		regionErr = fr.walk(ctx, ex, &g.colorChunks)
 	}
 	if regionErr != nil {
 		failAll(errs, fmt.Errorf("op2: %s: %w", g.name, regionErr))
 		return
 	}
 	// Late dependency propagation: a member whose hard predecessor failed
-	// in the final chunks may never have been revisited. The mask is
+	// in the final blocks may never have been revisited. The mask is
 	// reloaded per member so a failure marked here cascades to its own
 	// hard dependents later in the (backward-edged) member order.
 	for j := 0; j < k; j++ {
@@ -429,7 +380,7 @@ func (ex *Executor) executeFusedCtx(ctx context.Context, sp *StepPlan, g *stepGr
 	if obsOn && fr.failed.Load() == 0 {
 		d := time.Since(profStart)
 		if ex.profiler != nil {
-			ex.profiler.record(g.name, set.Name(), d, nil)
+			ex.profiler.record(g.name, set.Name(), d, fr.plan)
 		}
 		if ex.metrics != nil {
 			g.histFor(ex.metrics).ObserveDuration(d)

@@ -163,9 +163,10 @@ func TestFusionBlockedByIndirectDependency(t *testing.T) {
 }
 
 // TestFusedStepMatchesUnfusedBitwise runs the airfoil-shaped step under
-// the Dataflow backend (fused groups active) against the Serial backend
-// (strict program order) and a ForkJoin run with the identical static
-// chunk grid, asserting bitwise-identical flow fields and reduction.
+// the Dataflow backend (fused groups active) and ForkJoin (unfused)
+// against the Serial backend (strict program order), over 15 plan
+// blocks in one chunk or in many, asserting bitwise-identical flow
+// fields and reduction.
 func TestFusedStepMatchesUnfusedBitwise(t *testing.T) {
 	const ncells, iters = 237, 3
 	type result struct {
@@ -179,7 +180,7 @@ func TestFusedStepMatchesUnfusedBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewExecutor(Config{Backend: backend, Chunker: hpx.StaticChunker(chunk)})
+		ex := NewExecutor(Config{Backend: backend, Chunker: hpx.StaticChunker(chunk), BlockSize: 16})
 		for i := 0; i < iters; i++ {
 			if err := ex.RunStepCtx(context.Background(), sp); err != nil {
 				t.Fatal(err)
@@ -197,28 +198,25 @@ func TestFusedStepMatchesUnfusedBitwise(t *testing.T) {
 		}
 		return out
 	}
-	// Whole-set chunks: every backend sees one range per direct loop.
-	refWhole := run(Serial, 1<<20)
-	gotWhole := run(Dataflow, 1<<20)
-	if refWhole.rms != gotWhole.rms {
-		t.Errorf("whole-set: fused dataflow rms differs from serial bitwise")
-	}
-	for i := range refWhole.q {
-		if refWhole.q[i] != gotWhole.q[i] {
-			t.Fatalf("whole-set: q[%d] differs bitwise between serial and fused dataflow", i)
+	ref := run(Serial, 1<<20)
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		chunk   int
+	}{
+		{"dataflow-whole", Dataflow, 1 << 20},
+		{"dataflow-1", Dataflow, 1},
+		{"dataflow-4", Dataflow, 4},
+		{"forkjoin-1", ForkJoin, 1},
+	} {
+		got := run(tc.backend, tc.chunk)
+		if got.rms != ref.rms {
+			t.Errorf("%s: rms differs bitwise from serial", tc.name)
 		}
-	}
-	// Multi-chunk grid: fused dataflow against unfused ForkJoin with the
-	// same 32-element chunks — identical chunk boundaries, identical
-	// ascending-slot reduction combine.
-	refChunked := run(ForkJoin, 32)
-	gotChunked := run(Dataflow, 32)
-	if refChunked.rms != gotChunked.rms {
-		t.Errorf("chunked: fused dataflow rms differs from forkjoin bitwise")
-	}
-	for i := range refChunked.q {
-		if refChunked.q[i] != gotChunked.q[i] {
-			t.Fatalf("chunked: q[%d] differs bitwise between forkjoin and fused dataflow", i)
+		for i := range ref.q {
+			if got.q[i] != ref.q[i] {
+				t.Fatalf("%s: q[%d] differs bitwise from serial", tc.name, i)
+			}
 		}
 	}
 }

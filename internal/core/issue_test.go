@@ -86,7 +86,6 @@ func TestStepCompileFailureJoinsIssuedMembers(t *testing.T) {
 	d := MustDeclDat(cells, 1, nil, "d")
 	n := MustDeclDat(nodes, 1, nil, "n")
 	ex := NewExecutor(Config{Backend: Dataflow})
-	ex.cfg.BlockSize = -1 // indirect loops cannot build a plan
 	w := &Loop{Name: "w", Set: cells,
 		Args:   []Arg{ArgDat(d, IDIdx, nil, RW)},
 		Kernel: func(v [][]float64) { v[0][0]++ }}
@@ -97,6 +96,13 @@ func TestStepCompileFailureJoinsIssuedMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every loop compiles a plan: compile w while the block size is
+	// valid, then break it so only inc, compiled at its first issue,
+	// fails.
+	if _, err := ex.compiled(w); err != nil {
+		t.Fatal(err)
+	}
+	ex.cfg.BlockSize = -1
 	const reps = 3
 	futs := make([]Future, reps)
 	for i := range futs {

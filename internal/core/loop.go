@@ -199,7 +199,7 @@ func ReduceCombine(a Access, dst, src []float64) {
 }
 
 // scratchLayout computes where each reducing global argument lives inside
-// the per-chunk scratch buffer.
+// a plan block's reduction slot.
 type scratchLayout struct {
 	size   int
 	stride int   // size rounded up to whole cache lines: one slot's span

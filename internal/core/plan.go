@@ -6,12 +6,15 @@ import (
 	"sync"
 )
 
-// Plan is an OP2 execution plan for a loop with indirectly incremented
-// data: the iteration set is partitioned into contiguous blocks
-// (blockIdx/offset_b/nelem in Fig. 4 of the paper), and blocks are greedy-
-// colored so that no two blocks of the same color increment the same
-// target element. Execution proceeds color by color; blocks within a color
-// run in parallel with no locking.
+// Plan is an OP2 execution plan, built for every loop: the iteration set
+// is partitioned into contiguous blocks (blockIdx/offset_b/nelem in
+// Fig. 4 of the paper), and blocks are greedy-colored so that no two
+// blocks of the same color increment the same target element; a loop
+// without indirect modifications gets one color. Execution proceeds
+// color by color; blocks within a color run in parallel with no locking.
+// The blocks are also the loop's reduction grid: each block reduces into
+// its own slot and the slots fold in ascending block id, on every
+// backend and rank count.
 type Plan struct {
 	set       *Set
 	blockSize int
@@ -48,7 +51,7 @@ func (p *Plan) BlocksOfColor(c int) []int { return p.byColor[c] }
 // ascending colors, ascending blocks within a color, ascending elements
 // within a block. This is the element order every shared-memory backend
 // applies indirect increments in, and therefore the order a distributed
-// backend must replay to stay bitwise-identical.
+// backend must replay its increments in to stay bitwise-identical.
 //
 // The order is materialized once and cached on the (immutable) plan, so
 // the returned slice is shared: callers must not modify it.

@@ -14,7 +14,7 @@ import (
 // Profiler collects per-loop execution statistics, the moral equivalent of
 // the intrinsic performance counters HPX exposes (Grubel et al., cited as
 // [21] by the paper): invocation counts, total/min/max wall time per loop,
-// and plan shape for indirect loops. Attach one to an Executor with
+// and plan shape. Attach one to an Executor with
 // Executor.SetProfiler; it is safe for concurrent use, including from
 // dataflow loops running on multiple goroutines.
 type Profiler struct {
@@ -30,7 +30,7 @@ type LoopStats struct {
 	Min     time.Duration
 	Max     time.Duration
 	Set     string
-	NColors int // 0 for direct loops
+	NColors int // 1 for loops without indirect modifications
 	NBlocks int
 
 	// P50/P95/P99 are latency percentiles estimated from a fixed-bucket
@@ -50,8 +50,9 @@ func NewProfiler() *Profiler {
 }
 
 // record adds one execution sample. Fused passes record under their
-// group name ("fused(a+b)") with no plan; the resolved plan is threaded
-// in by the caller, so recording never re-consults the plan cache.
+// group name ("fused(a+b)") with their set's one-color plan; the
+// resolved plan is threaded in by the caller, so recording never
+// re-consults the plan cache.
 func (p *Profiler) record(name, set string, d time.Duration, plan *Plan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

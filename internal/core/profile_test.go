@@ -33,8 +33,8 @@ func TestProfilerRecordsLoops(t *testing.T) {
 	if s.Total <= 0 || s.Min <= 0 || s.Max < s.Min || s.Mean() <= 0 {
 		t.Fatalf("timing stats inconsistent: %+v", s)
 	}
-	if s.NColors != 0 {
-		t.Fatalf("direct loop has %d colors recorded", s.NColors)
+	if s.NColors != 1 || s.NBlocks != (n+DefaultBlockSize-1)/DefaultBlockSize {
+		t.Fatalf("direct loop plan shape %d colors, %d blocks, want one color of blocks", s.NColors, s.NBlocks)
 	}
 }
 

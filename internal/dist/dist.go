@@ -46,9 +46,10 @@
 // each owned target takes its increments in that order. The split
 // around the halo gate keeps it: an increment loop runs an element
 // after the gate as soon as one of its owned targets has a contributor
-// there. Global Inc reductions fold per-element contributions in the
-// same serial order (Min/Max combine per-rank partials up a binary tree
-// — they are associative, so the tree cannot change the result). The
-// distributed airfoil is therefore bitwise-identical to the serial
-// backend at every rank count and under every partitioner.
+// there. Global Inc reductions fold per-element contributions on the
+// shared-memory backends' grid: per plan block in element order, then
+// the blocks in ascending id (Min/Max combine per-rank partials up a
+// binary tree — they are associative, so the tree cannot change the
+// result). The distributed airfoil is therefore bitwise-identical to
+// the serial backend at every rank count and under every partitioner.
 package dist

@@ -131,10 +131,11 @@ type Engine struct {
 	// last toucher — has resolved the step future.
 	subs sync.Pool
 
-	// foldAcc/foldPartials are the driver-side reduction fold scratch,
-	// reused across steps (folds serialize: each driver waits the
-	// previous step's future before folding).
+	// foldAcc/foldBlock/foldPartials are the driver-side reduction fold
+	// scratch, reused across steps (folds serialize: each driver waits
+	// the previous step's future before folding).
 	foldAcc      []float64
+	foldBlock    []float64
 	foldPartials [][]float64
 }
 
@@ -911,32 +912,41 @@ func (sub *submission) drive() {
 }
 
 // foldReductions folds the per-rank reduction buffers into one
-// accumulator (the engine's fold scratch). Inc reductions fold
-// per-element contributions in the serial plan order — bitwise-identical
-// to the serial backend for kernels that accumulate once per element —
-// while pure Min/Max reductions combine per-rank partials up a binary
-// tree (min and max are associative, so the tree shape cannot change
-// the result).
+// accumulator (the engine's fold scratch). Inc reductions fold on the
+// shared-memory backends' grid, the loop's plan blocks: each block
+// starts from init and folds its elements' contributions in ascending
+// order, and the blocks fold in ascending id — bitwise-identical to
+// every shared-memory backend for kernels that accumulate once per
+// element. Pure Min/Max reductions combine per-rank partials up a
+// binary tree (min and max are associative, so the tree shape cannot
+// change the result).
 func (e *Engine) foldReductions(lp *loopPlan, bufs [][]float64) []float64 {
 	size := lp.gbl.size
 	// Fold scratch is engine-level and reused: folds serialize on the
 	// previous step's future (see drive).
 	if cap(e.foldAcc) < size {
 		e.foldAcc = make([]float64, size)
+		e.foldBlock = make([]float64, size)
 	}
-	acc := e.foldAcc[:size]
+	acc, blk := e.foldAcc[:size], e.foldBlock[:size]
 	copy(acc, lp.gbl.init)
 	if lp.needElementwise {
-		for _, el := range lp.foldOrder {
-			r, li := lp.itsp.owner[el], int(lp.itsp.local[el])
-			s := bufs[r][li*size : (li+1)*size]
-			if !lp.gbl.allInc {
-				lp.combineScratch(acc, s)
-				continue
+		owner, local := lp.itsp.owner, lp.itsp.local
+		for b := 0; b < lp.grid.NBlocks(); b++ {
+			copy(blk, lp.gbl.init)
+			lo, hi := lp.grid.Block(b)
+			for el := lo; el < hi; el++ {
+				li := int(local[el])
+				s := bufs[owner[el]][li*size : (li+1)*size]
+				if !lp.gbl.allInc {
+					lp.combineScratch(blk, s)
+					continue
+				}
+				for k, v := range s {
+					blk[k] += v
+				}
 			}
-			for k, v := range s {
-				acc[k] += v
-			}
+			lp.combineScratch(acc, blk)
 		}
 	} else {
 		// Tree combine across rank partials.

@@ -140,8 +140,9 @@ type loopPlan struct {
 	repl     []*core.Dat             // dats read as replicated (plan invalidated if sharded later)
 
 	gbl             gblLayout
-	needElementwise bool  // any Inc global: reduction folds per element in serial order
-	foldOrder       []int // serial element order (plan colors/blocks/elements), built only when read
+	needElementwise bool       // any Inc global: partials are per element, folded on grid
+	grid            *core.Plan // the loop's shared-memory plan, when it is needed
+	foldOrder       []int      // serial element order of an increment loop's exec lists
 
 	ranks []*rankPlan
 }
@@ -410,18 +411,14 @@ func (e *Engine) planLocked(l *core.Loop) (*loopPlan, error) {
 	}
 	lp.classifyArgs()
 
-	if len(lp.incs) > 0 {
+	if len(lp.incs) > 0 || lp.needElementwise {
 		plan, err := core.LoopPlan(l, e.blockSize)
 		if err != nil {
 			return nil, err
 		}
-		lp.foldOrder = plan.ElementOrder()
-	} else if lp.needElementwise {
-		// No indirect increment: the plan is one colour in ascending
-		// element order.
-		lp.foldOrder = make([]int, l.Set.Size())
-		for el := range lp.foldOrder {
-			lp.foldOrder[el] = el
+		lp.grid = plan
+		if len(lp.incs) > 0 {
+			lp.foldOrder = plan.ElementOrder()
 		}
 	}
 

@@ -90,8 +90,9 @@ func (e *Engine) TransportImpl() Transport { return e.tr.inner }
 
 // partialLen is the exact length of rank r's reduction partial for this
 // loop — derived from the shared plan, so sender and receiver agree
-// without negotiating (an elementwise partial holds one slot per
-// element rank r owns; a combinable one holds one accumulator).
+// without negotiating (an Inc partial holds one slot per element rank r
+// owns, for rank 0 to fold on the plan's block grid; a Min/Max partial
+// holds one accumulator).
 func (lp *loopPlan) partialLen(r int) int {
 	if lp.gbl.size == 0 {
 		return 0
@@ -104,8 +105,8 @@ func (lp *loopPlan) partialLen(r int) int {
 
 // reduceSPMD folds one occurrence's reductions across the processes:
 // every rank sends its partial to rank 0 (borrowed — the worker's
-// reduction scratch stays owned by the plan), rank 0 folds them all in
-// the serial order of the in-process engine and broadcasts the folded
+// reduction scratch stays owned by the plan), rank 0 folds them all as
+// the in-process engine does (foldReductions) and broadcasts the folded
 // accumulator, and every process applies that same accumulator, so
 // global values stay bitwise-identical everywhere. Each partial crosses
 // the wire once. Received buffers are drawn from the engine's pools

@@ -225,7 +225,7 @@ func (w *worker) execOcc(t *task, o int, occErr error, redOut *[]float64) (err e
 	}
 
 	// Reduction scratch: one slot per owned element when an Inc global
-	// must fold in serial element order, one accumulator otherwise.
+	// must fold on the plan's block grid, one accumulator otherwise.
 	size := lp.gbl.size
 	var redBuf []float64
 	if size > 0 {
@@ -462,7 +462,8 @@ func (w *worker) waitFutsCtx(ctx context.Context, futs []RecvFuture) error {
 // runPhase executes the given runs with the bound body, checking for
 // cancellation before each run and reporting each to the trace hook.
 // Owned runs reduce into redBuf — per element when an Inc global must
-// fold in serial order — and exec-halo runs into discarded scratch. A
+// fold on the plan's block grid — and exec-halo runs into discarded
+// scratch. A
 // body panic fails the occurrence.
 //
 //op2:noalloc

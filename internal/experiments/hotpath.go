@@ -49,7 +49,8 @@ func HotPathData(o Options) (*HotPathReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ref.Run(o.Iters); err != nil {
+	refRms, err := ref.Run(o.Iters)
+	if err != nil {
 		return nil, err
 	}
 
@@ -81,9 +82,8 @@ func HotPathData(o Options) (*HotPathReport, error) {
 			"(BenchmarkStep/dataflow/batched, 5 timesteps/op, -benchtime=20x): " +
 			"pre 5741303 ns/op, 73547 B/op, 1475 allocs/op; post 5443867 ns/op, 40299 B/op, " +
 			"642 allocs/op (-5% ns, -45% bytes, -56% allocs). " +
-			"flow_field_bitwise_vs_serial compares q only: the rms reduction's combine grid " +
-			"follows the timing-calibrated auto chunker, so its bitwise identity to serial " +
-			"needs a fixed grid (pinned by the fused-step goldens with a static chunker).",
+			"bitwise compares q and rms with serial: every backend folds reductions per " +
+			"plan block, whatever the chunker.",
 	}
 
 	for _, cfg := range []struct {
@@ -105,18 +105,15 @@ func HotPathData(o Options) (*HotPathReport, error) {
 		app.LoopAtATime = cfg.loopAtATime
 		// Verification run on fresh state, doubling as warm-up for the
 		// compiled loops, pools and plans.
-		if _, err := app.Run(o.Iters); err != nil {
+		rms, err := app.Run(o.Iters)
+		if err != nil {
 			rt.Close() //nolint:errcheck // already failing
 			return nil, err
 		}
-		// Bitwise verification covers the flow field: element-wise loop
-		// arithmetic and the colored increment order are grid-independent,
-		// so q must match serial on every backend and issue mode. The rms
-		// reduction's combine grid follows the (auto, timing-calibrated)
-		// chunker, so its serial identity needs a fixed whole-set grid —
-		// that property is pinned by the fused goldens
-		// (TestFusedStepGoldenAcrossBackendsAndRanks), not re-measured here.
-		bitwise := true
+		// Bitwise verification covers the flow field and the residual:
+		// every backend and issue mode runs the same plan blocks and folds
+		// reductions per block, so both must match serial.
+		bitwise := math.Float64bits(rms) == math.Float64bits(refRms)
 		for i, v := range app.M.Q.Data() {
 			if math.Float64bits(v) != math.Float64bits(ref.M.Q.Data()[i]) {
 				bitwise = false

@@ -125,13 +125,11 @@ func TestGeneratedProgramMatchesHandWrittenApp(t *testing.T) {
 			t.Fatalf("q[%d]: generated %.17g vs reference %.17g (not bitwise)", i, qGen[i], qRef[i])
 		}
 	}
-	// The rms reduction agrees too, to rounding: a direct loop's
-	// reduction grid follows the chunker.
-	ncell := float64(pr.Cells.Size())
-	rmsGen := math.Sqrt(pr.Rms.Data()[0] / (2 * ncell * iters))
-	rmsRef := math.Sqrt(refApp.Rms.Data()[0] / (2 * ncell * iters))
-	if relDiff(rmsGen, rmsRef) > 1e-9 {
-		t.Fatalf("rms: generated %.15g vs reference %.15g", rmsGen, rmsRef)
+	// The rms reduction is bitwise too: every backend folds it per plan
+	// block, whatever the chunker.
+	rmsGen, rmsRef := pr.Rms.Data()[0], refApp.Rms.Data()[0]
+	if math.Float64bits(rmsGen) != math.Float64bits(rmsRef) {
+		t.Fatalf("rms: generated %.17g vs reference %.17g (not bitwise)", rmsGen, rmsRef)
 	}
 }
 
@@ -147,16 +145,4 @@ func TestGeneratedProgramValidatesParams(t *testing.T) {
 	if err == nil {
 		t.Fatal("invalid params accepted")
 	}
-}
-
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if d == 0 {
-		return 0
-	}
-	s := math.Max(math.Abs(a), math.Abs(b))
-	if s == 0 {
-		return d
-	}
-	return d / s
 }

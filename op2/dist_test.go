@@ -3,6 +3,7 @@ package op2_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -187,6 +188,88 @@ func TestDistributedCancelClassification(t *testing.T) {
 	for i, v := range d.Data() {
 		if v != 2 {
 			t.Fatalf("d[%d] = %g after recovery run", i, v)
+		}
+	}
+}
+
+// TestColoredIncGlobalBitwise pins the reduction grid of a colored loop
+// with Inc globals: every backend, chunker, pool size and rank count
+// folds each plan block from init in element order and the blocks in
+// ascending id, so the globals match Serial bit for bit. The loop runs
+// three times, so calibrated chunk sizes are exercised too.
+func TestColoredIncGlobalBitwise(t *testing.T) {
+	const nnode, nedge = 3001, 6000
+	run := func(rt *op2.Runtime) []uint64 {
+		t.Helper()
+		defer rt.Close()
+		nodes := op2.MustDeclSet(nnode, "nodes")
+		edges := op2.MustDeclSet(nedge, "edges")
+		table := make([]int32, 2*nedge)
+		for e := 0; e < nedge; e++ {
+			table[2*e] = int32(7 * e % nnode)
+			table[2*e+1] = int32((13*e + 1) % nnode)
+		}
+		pedge := op2.MustDeclMap(edges, nodes, 2, table, "pedge")
+		vals := make([]float64, nnode)
+		for n := range vals {
+			vals[n] = float64(n*7919%2003) - 1001.3
+		}
+		val := op2.MustDeclDat(nodes, 1, vals, "val")
+		res := op2.MustDeclDat(nodes, 1, nil, "res")
+		total := op2.MustDeclGlobal(1, nil, "total")
+		acc := op2.MustDeclGlobal(1, nil, "acc")
+		loop := rt.ParLoop("colored_inc", edges,
+			op2.DatArg(val, 0, pedge, op2.Read),
+			op2.DatArg(val, 1, pedge, op2.Read),
+			op2.DatArg(res, 0, pedge, op2.Inc),
+			op2.DatArg(res, 1, pedge, op2.Inc),
+			op2.GblArg(total, op2.Inc),
+			op2.GblArg(acc, op2.Inc),
+		).Kernel(func(v [][]float64) {
+			v[2][0] += v[1][0]
+			v[3][0] -= v[0][0]
+			v[4][0] += v[0][0] * v[1][0] / 7
+			v[5][0] += v[1][0] / 8
+		})
+		for i := 0; i < 3; i++ {
+			if err := loop.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := res.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		bits := []uint64{math.Float64bits(total.Data()[0]), math.Float64bits(acc.Data()[0])}
+		for _, x := range res.Data() {
+			bits = append(bits, math.Float64bits(x))
+		}
+		return bits
+	}
+	check := func(name string, got, want []uint64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: value %d = %.17g, serial %.17g (not bitwise)", name, i,
+					math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+				return
+			}
+		}
+	}
+	ref := run(op2.MustNew(op2.WithBackend(op2.Serial)))
+	for _, ranks := range []int{1, 2, 3, 7} {
+		check(fmt.Sprintf("ranks=%d", ranks), run(op2.MustNew(op2.WithRanks(ranks))), ref)
+	}
+	chunkers := map[string]func() op2.Chunker{
+		"static3":    func() op2.Chunker { return op2.StaticChunk(3) },
+		"auto":       op2.AutoChunk,
+		"persistent": func() op2.Chunker { return op2.PersistentAutoChunk() },
+	}
+	for _, b := range []op2.Backend{op2.ForkJoin, op2.Dataflow} {
+		for workers := 1; workers <= 7; workers++ {
+			for name, ck := range chunkers {
+				rt := op2.MustNew(op2.WithBackend(b), op2.WithPoolSize(workers), op2.WithChunker(ck()))
+				check(fmt.Sprintf("%v-%d-%s", b, workers, name), run(rt), ref)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package op2_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,12 +14,15 @@ import (
 // and returns the bit patterns of the final residual and flow field.
 func runGolden(t *testing.T, b op2.Backend, workers, chunk int) (rmsBits uint64, q []uint64) {
 	t.Helper()
+	return runGoldenWith(t, op2.WithBackend(b), op2.WithPoolSize(workers),
+		op2.WithChunker(op2.StaticChunk(chunk)))
+}
+
+// runGoldenWith is runGolden under arbitrary runtime options.
+func runGoldenWith(t *testing.T, opts ...op2.Option) (rmsBits uint64, q []uint64) {
+	t.Helper()
 	const nx, ny, iters = 30, 16, 4
-	rt := op2.MustNew(
-		op2.WithBackend(b),
-		op2.WithPoolSize(workers),
-		op2.WithChunker(op2.StaticChunk(chunk)),
-	)
+	rt := op2.MustNew(opts...)
 	defer rt.Close()
 	app, err := airfoil.NewApp(nx, ny, rt)
 	if err != nil {
@@ -40,12 +44,12 @@ func runGolden(t *testing.T, b op2.Backend, workers, chunk int) (rmsBits uint64,
 // driven through the public facade.
 //
 // Bitwise equality holds because execution order is a property of the
-// loop, not the backend: indirect modifying loops follow the colored plan
-// (ascending colors, ascending blocks) on every backend, reduction
-// scratches combine in ascending-range order, and the static chunker
-// makes range boundaries deterministic. The chunk size spans the whole
-// set here so direct loops form a single range on all backends; the
-// sibling test below covers multi-chunk layouts.
+// loop, not the backend: every loop, direct or indirect, runs its plan
+// (ascending colors, ascending blocks), each block reduces into its own
+// slot and the slots fold in ascending block id. Chunks are whole
+// blocks, so the chunk size never reaches the results; the whole-set
+// static chunk here runs each color as one chunk, and the sibling tests
+// below cover multi-chunk and calibrated layouts.
 func TestAirfoilGoldenAcrossBackends(t *testing.T) {
 	const wholeSet = 1 << 20
 	refRms, refQ := runGolden(t, op2.Serial, 1, wholeSet)
@@ -61,46 +65,72 @@ func TestAirfoilGoldenAcrossBackends(t *testing.T) {
 		{"dataflow-4", op2.Dataflow, 4},
 	} {
 		rms, q := runGolden(t, tc.backend, tc.workers, wholeSet)
-		if rms != refRms {
-			t.Errorf("%s: rms bits %#x != serial %#x (%.17g vs %.17g)",
-				tc.name, rms, refRms,
-				math.Float64frombits(rms), math.Float64frombits(refRms))
-		}
-		for i := range q {
-			if q[i] != refQ[i] {
-				t.Fatalf("%s: q[%d] differs bitwise: %.17g vs serial %.17g",
-					tc.name, i,
-					math.Float64frombits(q[i]), math.Float64frombits(refQ[i]))
-			}
+		checkGolden(t, tc.name, rms, q, refRms, refQ)
+	}
+}
+
+// checkGolden fails unless rms and q match the serial reference bitwise.
+func checkGolden(t *testing.T, name string, rms uint64, q []uint64, refRms uint64, refQ []uint64) {
+	t.Helper()
+	if rms != refRms {
+		t.Errorf("%s: rms bits %#x != serial %#x (%.17g vs %.17g)",
+			name, rms, refRms,
+			math.Float64frombits(rms), math.Float64frombits(refRms))
+	}
+	for i := range q {
+		if q[i] != refQ[i] {
+			t.Fatalf("%s: q[%d] differs bitwise: %.17g vs serial %.17g",
+				name, i,
+				math.Float64frombits(q[i]), math.Float64frombits(refQ[i]))
 		}
 	}
 }
 
+// TestAirfoilGoldenCalibratedChunkers asserts that the calibrating
+// chunkers, whose chunk sizes follow measured times, leave every bit of
+// the serial golden intact at every pool size, and so does a two-rank
+// runtime.
+func TestAirfoilGoldenCalibratedChunkers(t *testing.T) {
+	refRms, refQ := runGolden(t, op2.Serial, 1, 1<<20)
+	chunkers := []struct {
+		name string
+		make func() op2.Chunker
+	}{
+		{"auto", op2.AutoChunk},
+		{"persistent", func() op2.Chunker { return op2.PersistentAutoChunk() }},
+	}
+	for _, b := range []op2.Backend{op2.ForkJoin, op2.Dataflow} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			for _, ck := range chunkers {
+				rms, q := runGoldenWith(t, op2.WithBackend(b), op2.WithPoolSize(workers),
+					op2.WithChunker(ck.make()))
+				checkGolden(t, fmt.Sprintf("%v-%d-%s", b, workers, ck.name), rms, q, refRms, refQ)
+			}
+		}
+	}
+	rms, q := runGoldenWith(t, op2.WithRanks(2))
+	checkGolden(t, "ranks-2", rms, q, refRms, refQ)
+}
+
 // TestAirfoilGoldenParallelChunked asserts that with a real multi-chunk
-// layout (64-element static chunks) the two parallel backends agree
-// bitwise with each other at every worker count: identical chunk
-// boundaries plus ascending-range reduction combine make scheduling
+// layout (static chunks of one plan block) the two parallel backends
+// match the serial golden bitwise at every worker count: chunks are
+// whole blocks and reductions fold per block, so scheduling is
 // invisible in the results.
 func TestAirfoilGoldenParallelChunked(t *testing.T) {
-	refRms, refQ := runGolden(t, op2.ForkJoin, 1, 64)
+	refRms, refQ := runGolden(t, op2.Serial, 1, 1<<20)
 	for _, tc := range []struct {
 		name    string
 		backend op2.Backend
 		workers int
 	}{
+		{"forkjoin-1", op2.ForkJoin, 1},
 		{"forkjoin-4", op2.ForkJoin, 4},
 		{"forkjoin-8", op2.ForkJoin, 8},
 		{"dataflow-1", op2.Dataflow, 1},
 		{"dataflow-4", op2.Dataflow, 4},
 	} {
-		rms, q := runGolden(t, tc.backend, tc.workers, 64)
-		if rms != refRms {
-			t.Errorf("%s: rms bits %#x != forkjoin-1 %#x", tc.name, rms, refRms)
-		}
-		for i := range q {
-			if q[i] != refQ[i] {
-				t.Fatalf("%s: q[%d] differs bitwise from forkjoin-1", tc.name, i)
-			}
-		}
+		rms, q := runGolden(t, tc.backend, tc.workers, 1)
+		checkGolden(t, tc.name, rms, q, refRms, refQ)
 	}
 }

@@ -76,9 +76,9 @@ const (
 	Dataflow = core.Dataflow
 )
 
-// Chunker controls how many consecutive iterations each task executes
-// (§IV-B of the paper). Build one with StaticChunk, EvenChunk, AutoChunk
-// or PersistentAutoChunk.
+// Chunker controls how many consecutive plan blocks each task executes
+// (§IV-B of the paper); chunk sizes never change results. Build one with
+// StaticChunk, EvenChunk, AutoChunk or PersistentAutoChunk.
 type Chunker = hpx.Chunker
 
 // PersistentAutoChunker is the paper's proposed persistent_auto_chunk_size
@@ -87,7 +87,7 @@ type Chunker = hpx.Chunker
 // between benchmark repetitions).
 type PersistentAutoChunker = hpx.PersistentAutoChunker
 
-// StaticChunk returns a chunker with a fixed chunk size
+// StaticChunk returns a chunker with a fixed chunk size in plan blocks
 // (hpx static_chunk_size).
 func StaticChunk(size int) Chunker { return hpx.StaticChunker(size) }
 
@@ -143,7 +143,7 @@ func WithPoolSize(n int) Option { return func(c *config) { c.poolSize = n } }
 // it through unconditionally.
 func WithChunker(ck Chunker) Option { return func(c *config) { c.chunker = ck } }
 
-// WithBlockSize sets the execution-plan block size for indirect loops
+// WithBlockSize sets the execution-plan block size of every loop
 // (default 256, like OP2's OpenMP backend).
 func WithBlockSize(n int) Option { return func(c *config) { c.blockSize = n } }
 
@@ -418,7 +418,7 @@ func (rt *Runtime) StepStats() StepStats {
 }
 
 // LoopProfile aggregates the executions of one named loop: invocation
-// count, total/mean/min/max wall time, and plan shape for indirect loops.
+// count, total/mean/min/max wall time, and plan shape.
 type LoopProfile = core.LoopStats
 
 // ProfileStats returns the per-loop statistics collected so far, sorted
