@@ -59,7 +59,6 @@ func run() error {
 		backend     = flag.String("backend", "dataflow", "job backend: serial, forkjoin, dataflow, dist")
 		ranks       = flag.Int("ranks", 2, "ranks per job (dist backend)")
 		pool        = flag.Int("pool", 0, "worker pool size per job (0 = runtime default)")
-		chunk       = flag.Int("chunk", 0, "static chunk size in plan blocks for shared-memory jobs (0 = backend default)")
 		inflight    = flag.Int("inflight", 0, "per-job max in-flight steps (0 = service default)")
 		maxResident = flag.Int("max-resident", 4, "jobs holding live runtimes at once")
 		maxQueued   = flag.Int("max-queued", 64, "admitted jobs waiting behind them")
@@ -89,9 +88,6 @@ func run() error {
 	}
 	if *pool > 0 && *backend != "dist" {
 		opts = append(opts, op2.WithPoolSize(*pool))
-	}
-	if *chunk > 0 && *backend != "dist" {
-		opts = append(opts, op2.WithChunker(op2.StaticChunk(*chunk)))
 	}
 
 	// The telemetry edge: one registry and span ring shared by the

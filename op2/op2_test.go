@@ -216,14 +216,17 @@ func TestFutureReadyAndWaitAll(t *testing.T) {
 func rangeOnly(f op2.RangeBody) op2.Binder { return func(op2.Bind) op2.RangeBody { return f } }
 
 // TestPrefetchStaysInsideChunk runs a direct RW loop through the §V
-// prefetcher with chunks of 64 elements and 8-element prefetch units on
-// four workers. The prefetcher must not read past its own chunk: the
-// next chunk belongs to another worker, which is writing it (the race
-// detector reports the read otherwise).
+// prefetcher with 8-element prefetch units on four workers. Chunks are
+// two 32-element plan blocks, which a loop without reductions runs as
+// one 64-element range, so the 4,096 elements make 64 chunks. The
+// prefetcher must not read past its own chunk: the next chunk belongs
+// to another worker, which is writing it (the race detector reports the
+// read otherwise).
 func TestPrefetchStaysInsideChunk(t *testing.T) {
 	const n, runs = 4096, 8
 	rt := op2.MustNew(op2.WithBackend(op2.Dataflow), op2.WithPoolSize(4),
-		op2.WithChunker(op2.StaticChunk(64)), op2.WithPrefetchDistance(1))
+		op2.WithBlockSize(32), op2.WithChunker(op2.StaticChunk(2)),
+		op2.WithPrefetchDistance(1))
 	defer rt.Close()
 	cells := op2.MustDeclSet(n, "cells")
 	d := op2.MustDeclDat(cells, 1, nil, "d")
